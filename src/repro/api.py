@@ -2,11 +2,10 @@
 
 Historically each exact/Monte-Carlo quantity had its own entry point
 with its own kwargs and its own ``method=`` vocabulary
-(:func:`~repro.core.exact.exact_potential_ratio`,
-:func:`~repro.core.exact.propagate_distribution`,
-:func:`~repro.core.sparse.solve_fundamental`,
-:func:`~repro.core.timeline.mean_timeline`).  This module redesigns that
-surface around three values:
+(``exact_potential_ratio``, ``propagate_distribution``,
+``solve_fundamental``, ``mean_timeline``; removed, see
+``docs/MODEL.md``).  This module redesigns that surface around three
+values:
 
 * :class:`ModelParams` — a frozen, canonicalized subclass of
   :class:`~repro.core.parameters.ModelParameters` with normalized field
@@ -19,10 +18,6 @@ surface around three values:
 * :func:`solve` — one dispatch table mapping
   ``(Quantity, Method)`` to the engine that answers it, returning a
   :class:`SolveResult` that serializes uniformly.
-
-The old entry points remain as thin deprecation shims that forward to
-the same implementations, so historical callers get bit-identical
-results plus a :class:`DeprecationWarning`.
 
 Example::
 

@@ -537,14 +537,17 @@ def restore_swarm(document: dict, **swarm_kwargs) -> "Swarm":
             f"snapshot schema version {version!r} is not supported "
             f"(this build reads version {SCHEMA_VERSION})"
         )
-    if document.get("backend") == "soa":
+    backend = document.get("backend")
+    if backend == "soa" and "shards" not in swarm_kwargs:
         try:
             return _restore_soa_swarm(document, **swarm_kwargs)
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"snapshot document is structurally invalid: {exc!r}"
             )
-    if document.get("backend") == "sharded":
+    if backend in ("soa", "sharded"):
+        # Given ``shards``, a soa document (what a ``shards=1`` run
+        # writes) resumes as soa or is re-sharded onto the workers.
         from repro.sim.sharded import restore_sharded_swarm
 
         try:

@@ -107,12 +107,14 @@ def run_swarm_with_checkpoints(
         # from the snapshot — a resumed run must continue the original
         # trajectory, not a freshly-parameterised one.  A sharded
         # snapshot additionally honours ``shards`` (elastic re-sharding
-        # repartitions the checkpoint onto the new worker count).
-        allowed = (
-            ("profile", "shards")
-            if document.get("backend") == "sharded"
-            else ("profile",)
+        # repartitions the checkpoint onto the new worker count), and
+        # so does a soa snapshot resumed as ``backend="sharded"`` (what
+        # a ``shards=1`` run writes).
+        sharded = document.get("backend") == "sharded" or (
+            document.get("backend") == "soa"
+            and swarm_kwargs.get("backend") == "sharded"
         )
+        allowed = ("profile", "shards") if sharded else ("profile",)
         control = {
             key: value
             for key, value in swarm_kwargs.items()

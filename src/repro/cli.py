@@ -103,8 +103,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=(
-            "worker processes for --backend sharded (ignored by the "
-            "other backends)"
+            "worker processes for --backend sharded; 1 runs the soa "
+            "engine in-process (ignored by the other backends)"
         ),
     )
     run.add_argument(
@@ -278,7 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scenario.add_argument(
         "--shards", type=int, default=2,
-        help="worker processes for --backend sharded (default 2)",
+        help=(
+            "worker processes for --backend sharded (default 2; 1 runs "
+            "the soa engine in-process)"
+        ),
     )
 
     return parser

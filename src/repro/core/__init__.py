@@ -21,8 +21,6 @@ from repro.core.chain import DownloadChain, State
 from repro.core.exact import (
     PotentialRatioExact,
     TransientResult,
-    exact_potential_ratio,
-    propagate_distribution,
 )
 from repro.core.parameters import ModelParameters, alpha_from_swarm
 from repro.core.phases import Phase, classify_state, phase_durations
@@ -32,7 +30,6 @@ from repro.core.sparse import (
     SparseChainOperator,
     compile_sparse_operator,
     mean_hitting_time,
-    solve_fundamental,
 )
 from repro.core.trading_power import exchange_probability
 
@@ -52,11 +49,8 @@ __all__ = [
     "exchange_probability",
     "TransientResult",
     "PotentialRatioExact",
-    "exact_potential_ratio",
-    "propagate_distribution",
     "SparseChainOperator",
     "FundamentalSolution",
     "compile_sparse_operator",
-    "solve_fundamental",
     "mean_hitting_time",
 ]

@@ -23,7 +23,7 @@ Two engines back the same API:
   so it stays tractable.
 
 For horizon-free means and variances, prefer the fundamental-matrix
-solve (:func:`repro.core.sparse.solve_fundamental` /
+solve (``solve(params, "download_time", method="exact")`` /
 :func:`repro.core.sparse.mean_hitting_time`) over propagation.
 """
 
@@ -42,14 +42,7 @@ from repro.errors import ParameterError
 __all__ = [
     "TransientResult",
     "PotentialRatioExact",
-    "propagate_distribution",
-    "exact_potential_ratio",
 ]
-
-_DEPRECATION_TEMPLATE = (
-    "repro.core.exact.{name} is deprecated; use "
-    "repro.api.solve(params, {quantity!r}, method=...) instead"
-)
 
 #: Default threshold above which discarded probability mass triggers a
 #: :class:`RuntimeWarning` (both engines report it; the dict path can
@@ -106,8 +99,8 @@ class TransientResult:
                 f"within the horizon (tail_mass={self.tail_mass:.3e}); "
                 "extend the horizon, or use the horizon-free exact mean "
                 "from repro.core.sparse.mean_hitting_time / "
-                "solve_fundamental (the method='exact' path of the "
-                "figure runners)"
+                "repro.api.solve(params, 'download_time', "
+                "method='exact')"
             )
         return float(self.rounds @ self.completion_pmf / absorbed)
 
@@ -124,7 +117,7 @@ class PotentialRatioExact:
             at each piece count (within the horizon for the dict path,
             over the whole download for the sparse path).
         pruned_mass: probability mass discarded while computing the
-            curve (see :func:`exact_potential_ratio`).
+            curve (see :func:`_exact_potential_ratio_impl`).
         method: which engine produced the result.
     """
 
@@ -171,31 +164,6 @@ def _propagate_distribution_impl(
     if method is Method.EXACT:
         return _propagate_sparse(chain, horizon)
     return _propagate_dict(chain, horizon, prune)
-
-
-def propagate_distribution(
-    chain: DownloadChain,
-    horizon: int,
-    *,
-    prune: float = 1e-12,
-    method: str = "sparse",
-) -> TransientResult:
-    """Deprecated shim over :func:`repro.api.solve` (``"transient"``).
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call
-    ``solve(params, "transient", method=..., horizon=...)``.
-    """
-    warnings.warn(
-        _DEPRECATION_TEMPLATE.format(
-            name="propagate_distribution", quantity="transient"
-        ),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _propagate_distribution_impl(
-        chain, horizon, prune=prune, method=method
-    )
 
 
 def _propagate_sparse(chain: DownloadChain, horizon: int) -> TransientResult:
@@ -399,34 +367,4 @@ def _exact_potential_ratio_impl(
         occupancy=weights,
         pruned_mass=pruned_mass,
         method="dict",
-    )
-
-
-def exact_potential_ratio(
-    chain: DownloadChain,
-    *,
-    horizon: int | None = None,
-    prune: float = 1e-12,
-    method: str = "sparse",
-    warn_above: float = PRUNED_MASS_WARN,
-) -> PotentialRatioExact:
-    """Deprecated shim over :func:`repro.api.solve` (``"potential_ratio"``).
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call
-    ``solve(params, "potential_ratio", method=...)``.
-    """
-    warnings.warn(
-        _DEPRECATION_TEMPLATE.format(
-            name="exact_potential_ratio", quantity="potential_ratio"
-        ),
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _exact_potential_ratio_impl(
-        chain,
-        horizon=horizon,
-        prune=prune,
-        method=method,
-        warn_above=warn_above,
     )

@@ -21,7 +21,7 @@ kernel over the transient state space into a single
   ``(I - Q) tau = 1`` and the expected-visits solve
   ``(I - Q)^T nu = e_start``.
 
-On top of the operator, :func:`solve_fundamental` evaluates the
+On top of the operator, :meth:`SparseChainOperator.solution` evaluates the
 fundamental matrix ``N = (I - Q)^{-1}`` without ever forming it:
 
 * exact mean *and variance* of the download time (no horizon to pick);
@@ -66,7 +66,6 @@ __all__ = [
     "SparseChainOperator",
     "FundamentalSolution",
     "compile_sparse_operator",
-    "solve_fundamental",
     "mean_hitting_time",
 ]
 
@@ -522,34 +521,6 @@ def _solve_fundamental_impl(
     return _resolve_operator(
         source, drop_tol=drop_tol, max_states=max_states
     ).solution()
-
-
-def solve_fundamental(
-    source: "object",
-    *,
-    drop_tol: Optional[float] = None,
-    max_states: Optional[int] = None,
-) -> FundamentalSolution:
-    """Deprecated shim over :func:`repro.api.solve`.
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call ``solve(params, "timeline",
-    method="exact")`` / ``solve(params, "download_time",
-    method="exact")`` (or keep a compiled operator and read
-    ``operator.solution()`` directly).
-    """
-    import warnings
-
-    warnings.warn(
-        "repro.core.sparse.solve_fundamental is deprecated; use "
-        "repro.api.solve(params, 'timeline'|'download_time'|'phases', "
-        "method='exact') instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _solve_fundamental_impl(
-        source, drop_tol=drop_tol, max_states=max_states
-    )
 
 
 def mean_hitting_time(

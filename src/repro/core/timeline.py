@@ -4,7 +4,7 @@ These produce the two model-side series of the paper's Figure 1:
 
 * :func:`potential_ratio_by_pieces` — E[ i / s | b ] as a function of
   the number of downloaded pieces ``b`` (Figure 1(a));
-* :func:`mean_timeline` — the expected first-passage time (in
+* :func:`_mean_timeline_impl` — the expected first-passage time (in
   piece-exchange rounds) to each piece count ``b`` (Figure 1(b)).
 
 Both are Monte-Carlo estimators over independent chain trajectories.
@@ -22,7 +22,6 @@ handles the paper-scale state space directly.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Dict, Optional
 
@@ -39,7 +38,6 @@ __all__ = [
     "TimelineResult",
     "PotentialRatioResult",
     "PhaseStatistics",
-    "mean_timeline",
     "potential_ratio_by_pieces",
     "phase_duration_statistics",
     "expected_download_time_exact",
@@ -131,28 +129,6 @@ def _mean_timeline_impl(
         std_steps=std,
         runs=runs,
     )
-
-
-def mean_timeline(
-    chain: DownloadChain,
-    *,
-    runs: int = 64,
-    seed: Optional[int] = None,
-    batch: bool = True,
-) -> TimelineResult:
-    """Deprecated shim over :func:`repro.api.solve` (``"timeline"``).
-
-    Same signature and bit-identical results as the historical entry
-    point; new code should call
-    ``solve(params, "timeline", method="batch"|"serial", runs=...)``.
-    """
-    warnings.warn(
-        "repro.core.timeline.mean_timeline is deprecated; use "
-        "repro.api.solve(params, 'timeline', method=...) instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _mean_timeline_impl(chain, runs=runs, seed=seed, batch=batch)
 
 
 def potential_ratio_by_pieces(

@@ -168,7 +168,6 @@ def run_fig1b(
     arrival_rate: float = 1.5,
     max_time: float = 800.0,
     workers: int = 1,
-    model_batch: bool = False,
     profile: bool = False,
     method: Optional[str] = None,
 ) -> Fig1bResult:
@@ -181,18 +180,14 @@ def run_fig1b(
     swarm via the paper's formula ``alpha = lambda * w * s / N``.
 
     Args:
-        model_batch: sample all model replications per PSS on the
-            vectorized :class:`~repro.core.batch.BatchChainSampler`
-            (one task per PSS) instead of fanning one trajectory per
-            task.  Statistically equivalent, not bit-identical — the
-            default keeps the per-trajectory fan so existing goldens
-            hold.
         profile: run the swarms with a per-stage
             :class:`~repro.runtime.profiler.RoundProfiler` and fold the
             buckets into the returned telemetry (``--timing``).
         method: model-curve method — ``"serial"``/``"monte-carlo"``
-            (per-trajectory fan, the default), ``"batch"`` (vectorized
-            sampler, defaulted to by ``model_batch=True``), ``"exact"``
+            (per-trajectory fan, the default, which the goldens pin),
+            ``"batch"`` (all replications per PSS in one task on the
+            vectorized :class:`~repro.core.batch.BatchChainSampler`;
+            statistically equivalent, not bit-identical), ``"exact"``
             (noise-free expected first-passage rounds from the sparse
             fundamental-matrix solve; ``model_runs`` ignored), or
             ``"meanfield"`` (deterministic large-swarm ODE limit, also
@@ -200,9 +195,7 @@ def run_fig1b(
     """
     if not pss_values:
         raise ParameterError("pss_values must be non-empty")
-    method = resolve_model_method(
-        method, default=Method.BATCH if model_batch else Method.SERIAL
-    )
+    method = resolve_model_method(method, default=Method.SERIAL)
     pieces = np.arange(num_pieces + 1)
     executor = make_executor(workers=workers)
     model: Dict[int, np.ndarray] = {}

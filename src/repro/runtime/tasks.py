@@ -3,7 +3,7 @@
 These are the per-replication work units of the Figure-1 estimators,
 reshaped so each replication is an independent, seedable, picklable
 task (the loop bodies previously hidden inside
-:func:`repro.core.timeline.mean_timeline` and
+:func:`repro.core.timeline._mean_timeline_impl` and
 :func:`repro.core.timeline.potential_ratio_by_pieces`, which drew all
 replications from one shared stream and therefore could not be
 parallelised deterministically).  Every task resolves its chain through
@@ -78,7 +78,7 @@ def first_passage_task(params: ModelParameters, seed: int) -> tuple:
 
     Piece counts can advance by more than one per round, so "first
     passage to ``b``" is the first round holding *at least* ``b``
-    pieces (matching :func:`repro.core.timeline.mean_timeline`).
+    pieces (matching :func:`repro.core.timeline._mean_timeline_impl`).
 
     Returns:
         ``(first, steps)`` — ``first[b]`` is the first-passage round.

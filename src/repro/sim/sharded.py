@@ -24,12 +24,13 @@ Design contract (mirrors ``docs/RUNTIME.md``):
   coordinator's tracker stream is ``derive_seed(seed, SHARD_NS, 0)``.
   Fault injectors derive from the shard seed, so each shard draws an
   independent fault stream (the PR-1 seeding contract).
-* **``shards=1`` is exact.** A single-shard swarm hosts one unmodified
-  in-process :class:`~repro.sim.soa.SoaSwarm`, so its fingerprint is
-  identical to ``backend="soa"`` (the fingerprint excludes the backend
-  label).  ``shards >= 2`` changes the trajectory (per-shard neighbor
-  sets, coordinator-owned arrivals) and is held to the statistical
-  equivalence gates instead.
+* **``shards=1`` is the soa engine.** ``Swarm(config,
+  backend="sharded", shards=1)`` constructs a plain
+  :class:`~repro.sim.soa.SoaSwarm` (see ``Swarm.__new__``), so it is
+  identical to ``backend="soa"`` by construction and this class
+  requires ``shards >= 2``.  Two or more shards change the trajectory
+  (per-shard neighbor sets, coordinator-owned arrivals) and are held
+  to the statistical equivalence gates instead.
 * **Checkpoint = shard snapshots + coordinator block.** The sharded
   document embeds one soa-flavored document per shard, so elastic
   re-sharding is checkpoint -> repartition (rows rehashed by
@@ -57,7 +58,7 @@ from repro.sim.config import SimConfig
 from repro.sim.engine import Event
 from repro.sim.metrics import MetricsCollector
 from repro.sim.shm import ShardFabric, WorkerFabric
-from repro.sim.soa import SoaSwarm, unpack_rows
+from repro.sim.soa import SoaSwarm, unpack_rows, words_for
 from repro.sim.swarm import ConnectionStats, Swarm, SwarmResult
 
 __all__ = ["ShardEngine", "ShardedSwarm", "restore_sharded_swarm", "SHARD_NS"]
@@ -321,7 +322,7 @@ class ShardEngine(SoaSwarm):
         return rows
 
     # -- the lockstep entry point --------------------------------------
-    def step_round(
+    def step_coordinated(
         self,
         global_counts: Optional[np.ndarray],
         immigrants: Optional[dict],
@@ -361,15 +362,24 @@ class ShardEngine(SoaSwarm):
         }
 
 
-def _shard_metrics(max_conns: int, opts: dict) -> MetricsCollector:
-    """A shard's local collector: an internal ledger, entropy disabled
-    (the coordinator computes global entropy from summed counts)."""
-    return MetricsCollector(
-        max_conns,
+def _new_shard_engine(payload: dict) -> ShardEngine:
+    """A fresh shard engine for an ``init``/``adopt`` payload.
+
+    Its local collector is an internal ledger with entropy disabled
+    (the coordinator computes global entropy from summed counts).
+    """
+    config = payload["config"]
+    opts = payload["metrics_opts"]
+    metrics = MetricsCollector(
+        config.max_conns,
         entropy_every=1_000_000_000,
         entropy_includes_seeds=bool(opts["entropy_includes_seeds"]),
         occupancy_warmup=float(opts["occupancy_warmup"]),
         occupancy_scope=str(opts["occupancy_scope"]),
+    )
+    return ShardEngine(
+        config, backend="soa", metrics=metrics,
+        faults=payload["faults"], profile=payload["profile"],
     )
 
 
@@ -398,16 +408,7 @@ def _shard_worker(conn) -> None:
                 return
             try:
                 if command == "init":
-                    engine = ShardEngine(
-                        payload["config"],
-                        backend="soa",
-                        metrics=_shard_metrics(
-                            payload["config"].max_conns,
-                            payload["metrics_opts"],
-                        ),
-                        faults=payload["faults"],
-                        profile=payload["profile"],
-                    )
+                    engine = _new_shard_engine(payload)
                     engine._next_id = payload["id_start"]
                     engine.setup()
                     fabric = WorkerFabric(payload["fabric"])
@@ -425,16 +426,7 @@ def _shard_worker(conn) -> None:
                     fabric = WorkerFabric(payload["fabric"])
                     conn.send(("ok", engine.state_summary()))
                 elif command == "adopt":
-                    engine = ShardEngine(
-                        payload["config"],
-                        backend="soa",
-                        metrics=_shard_metrics(
-                            payload["config"].max_conns,
-                            payload["metrics_opts"],
-                        ),
-                        faults=payload["faults"],
-                        profile=payload["profile"],
-                    )
+                    engine = _new_shard_engine(payload)
                     engine._setup_done = True
                     engine._rounds = payload["rounds"]
                     engine.metrics.set_expected_rounds(
@@ -452,7 +444,7 @@ def _shard_worker(conn) -> None:
                     fabric.apply_updates(payload.get("fabric_updates"))
                     round_index = payload["round"]
                     busy_start = _time.perf_counter()
-                    report = engine.step_round(
+                    report = engine.step_coordinated(
                         fabric.read_broadcast(round_index),
                         fabric.read_inbox(round_index),
                         payload["arrivals"],
@@ -511,9 +503,9 @@ class ShardedSwarm(Swarm):
     Args:
         config: the :class:`SimConfig` (same knobs as every backend).
         backend: must be ``"sharded"``.
-        shards: worker count.  ``1`` hosts a single in-process
-            :class:`SoaSwarm` (bit-identical to ``backend="soa"``);
-            ``>= 2`` forks one process per shard.
+        shards: worker count (``>= 2``), one forked process per
+            shard.  ``Swarm(config, backend="sharded", shards=1)``
+            constructs a :class:`SoaSwarm` instead.
         shard_mix: per-round probability that an alive peer migrates to
             a uniformly random other shard (coordinator-drawn, batched
             at round boundaries).  ``0`` disables migration.
@@ -547,8 +539,12 @@ class ShardedSwarm(Swarm):
                 f"ShardedSwarm is the 'sharded' backend, got "
                 f"backend={backend!r}"
             )
-        if shards < 1:
-            raise ParameterError(f"shards must be >= 1, got {shards}")
+        if shards < 2:
+            raise ParameterError(
+                f"ShardedSwarm needs shards >= 2, got {shards}; a single "
+                f"shard is the soa engine: use Swarm(config, "
+                f"backend='soa') (or backend='sharded', shards=1)"
+            )
         if not 0.0 <= shard_mix <= 1.0:
             raise ParameterError(
                 f"shard_mix must be in [0, 1], got {shard_mix}"
@@ -582,7 +578,6 @@ class ShardedSwarm(Swarm):
         self.telemetry: Optional[Telemetry] = None
         self.shard_profiles: Optional[Dict[str, Dict[str, float]]] = None
 
-        self._solo: Optional[SoaSwarm] = None
         self._procs: list = []
         self._conns: list = []
         self._started = False
@@ -594,18 +589,6 @@ class ShardedSwarm(Swarm):
         self._bytes_broadcast = 0
         self._bytes_migrated = 0
         self._comms_profiler: Optional[RoundProfiler] = None
-
-        if self.shards == 1:
-            self._solo = SoaSwarm(
-                config,
-                metrics=self.metrics,
-                faults=faults,
-                profile=profile,
-                instrumented_start_empty=instrumented_start_empty,
-                rarity_view=rarity_view,
-            )
-            return
-
         self._init_coordinator_state()
 
     # ------------------------------------------------------------------
@@ -792,7 +775,7 @@ class ShardedSwarm(Swarm):
         self._fabric = ShardFabric(
             self.shards,
             config.num_pieces,
-            _bits_words(config.num_pieces),
+            words_for(config.num_pieces),
             conn_rows=conn_rows,
             migration_rows=64,
         )
@@ -801,10 +784,6 @@ class ShardedSwarm(Swarm):
         if self._started:
             return
         self._started = True
-        if self._solo is not None:
-            if not self._solo._setup_done:
-                self._solo.setup()
-            return
         self._spawn_processes()
         # The fabric is created *after* the fork so children never
         # inherit coordinator-owned SharedMemory objects; workers
@@ -924,7 +903,7 @@ class ShardedSwarm(Swarm):
         #    would have nowhere to land)
         last_round = time + config.piece_time > config.max_time
         quotas = [0] * self.shards
-        if self.shards > 1 and self.shard_mix > 0.0 and not last_round:
+        if self.shard_mix > 0.0 and not last_round:
             for index in range(self.shards):
                 state = self._shard_state[index]
                 population = state["n_leech"] + state["n_seeds"]
@@ -991,7 +970,7 @@ class ShardedSwarm(Swarm):
             reports.append(report)
             self._shard_state[index] = report
             emigrants = fabric.read_outbox(index, round_index)
-            if emigrants is not None and self.shards > 1:
+            if emigrants is not None:
                 destinations = self._tracker_rng.integers(
                     0, self.shards - 1, size=emigrants["peer_id"].size
                 )
@@ -1046,8 +1025,6 @@ class ShardedSwarm(Swarm):
     def step_round(self) -> bool:
         """Advance one coordinated round; ``False`` when the run ended."""
         self._ensure_started()
-        if self._solo is not None:
-            return self._solo_step()
         while True:
             try:
                 return self._advance_cycle()
@@ -1106,7 +1083,7 @@ class ShardedSwarm(Swarm):
             None if coord["next_arrival"] is None
             else float(coord["next_arrival"])
         )
-        words = _bits_words(self.config.num_pieces)
+        words = words_for(self.config.num_pieces)
         self._pending_rows = [
             _rows_from_json(rows, words) for rows in coord["pending_rows"]
         ]
@@ -1146,22 +1123,16 @@ class ShardedSwarm(Swarm):
             _sanitize_rng_state,
             _snapshot_metrics,
             _triples,
-            snapshot_soa_swarm,
         )
 
-        if self._solo is not None:
-            return {
-                "schema_version": SCHEMA_VERSION,
-                "backend": "sharded",
-                "shards": 1,
-                "config": self.config.to_dict(),
-                "faults_plan": (
-                    None if self.fault_plan is None
-                    else self.fault_plan.to_dict()
-                ),
-                "solo": snapshot_soa_swarm(self._solo),
-            }
         self._ensure_started()
+        if not self._conns:
+            raise SimulationError(
+                "cannot snapshot a sharded swarm whose shard workers are "
+                "closed (run() finished or close() was called); "
+                "checkpoint during the run with checkpoint_every=N, or "
+                "call write_checkpoint() between step_round() calls"
+            )
         for index in range(self.shards):
             self._send(index, ("snapshot", None))
         shard_docs = [self._recv(index) for index in range(self.shards)]
@@ -1222,38 +1193,17 @@ class ShardedSwarm(Swarm):
         document = self.snapshot()
         write_checkpoint(document, target)
         self.checkpoints_written += 1
-        if self._solo is None:
-            self._last_document = document
+        self._last_document = document
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
-    def _solo_step(self) -> bool:
-        inner = self._solo
-        before = inner._rounds
-        while True:
-            if inner.engine.step() is None:
-                return False
-            if inner._rounds != before:
-                break
-        if (
-            self.checkpoint_every > 0
-            and inner._rounds % self.checkpoint_every == 0
-        ):
-            self.write_checkpoint()
-        return True
-
     def run(self) -> SwarmResult:
         """Run to the horizon; returns the aggregated result bundle."""
         if self._finished:
             raise SimulationError("run() called twice")
         start = _time.perf_counter()
         self._ensure_started()
-        if self._solo is not None:
-            while self._solo_step():
-                pass
-            self._finished = True
-            return self._solo_result(start)
         try:
             while self.step_round():
                 pass
@@ -1262,51 +1212,6 @@ class ShardedSwarm(Swarm):
             self.close()
         self._finished = True
         return result
-
-    def _solo_result(self, start: float) -> SwarmResult:
-        inner = self._solo
-        profile = (
-            inner.profiler.as_dict() if inner.profiler is not None else None
-        )
-        wall_time = _time.perf_counter() - start
-        self.shard_profiles = (
-            {"shard0": dict(profile)} if profile is not None else None
-        )
-        self.telemetry = Telemetry(
-            wall_time=wall_time,
-            workers=1,
-            events=inner.engine.processed_events,
-            backend="sharded",
-            shards=1,
-            round_profile=dict(profile) if profile else {},
-        )
-        return SwarmResult(
-            config=self.config,
-            metrics=inner.metrics,
-            instrumented=[],
-            total_rounds=inner._rounds,
-            final_leechers=inner._n_leech,
-            final_seeds=inner._n_seeds,
-            tracker_population_log=list(inner._population_log),
-            connection_stats=inner.connection_stats,
-            seed_upload_count=inner.seed_upload_count,
-            events_processed=inner.engine.processed_events,
-            wall_time=wall_time,
-            fault_stats=(
-                inner.fault_injector.stats
-                if inner.fault_injector is not None
-                else None
-            ),
-            round_profile=profile,
-            resumed_from_round=(
-                self.resumed_from_round
-                if self.resumed_from_round is not None
-                else inner.resumed_from_round
-            ),
-            checkpoints_written=self.checkpoints_written,
-            backend="sharded",
-            shard_profiles=self.shard_profiles,
-        )
 
     def _finalize(self, start: float) -> SwarmResult:
         for index in range(self.shards):
@@ -1399,12 +1304,6 @@ class ShardedSwarm(Swarm):
 # ----------------------------------------------------------------------
 # Restore / repartition
 # ----------------------------------------------------------------------
-def _bits_words(num_pieces: int) -> int:
-    from repro.sim.soa import words_for
-
-    return words_for(num_pieces)
-
-
 def _fault_stats_from_dict(doc: dict) -> FaultStats:
     return FaultStats(**{
         key: int(value) for key, value in doc.items() if key != "total"
@@ -1442,8 +1341,8 @@ def restore_sharded_swarm(
     *,
     shards: Optional[int] = None,
     **swarm_kwargs,
-) -> ShardedSwarm:
-    """Rebuild a :class:`ShardedSwarm` from a coordinated snapshot.
+) -> Swarm:
+    """Rebuild a sharded swarm from a coordinated snapshot.
 
     ``shards`` resumes at a *different* worker count (elastic
     re-sharding): peer rows from every shard document (plus in-flight
@@ -1452,9 +1351,20 @@ def restore_sharded_swarm(
     fold into the coordinator's carried totals.  Same-count resume is
     exact and fingerprint-preserving; a repartitioned resume is a new
     (deterministic) trajectory.
+
+    A soa document (what a ``shards=1`` run writes) is accepted too:
+    without ``shards`` (or with ``shards=1``) it resumes as the
+    :class:`SoaSwarm` it is, and ``shards >= 2`` re-shards it.
     """
     from repro.checkpoint.schema import _restore_soa_swarm
 
+    if "solo" in document:
+        # Legacy ``shards=1`` file: an ordinary soa document, wrapped.
+        document = document["solo"]
+    if document.get("backend") == "soa":
+        if shards is None or shards == 1:
+            return _restore_soa_swarm(document, **swarm_kwargs)
+        document = _sharded_document_from_soa(document)
     config = SimConfig.from_dict(document["config"])
     doc_shards = int(document["shards"])
     target = doc_shards if shards is None else int(shards)
@@ -1464,26 +1374,6 @@ def restore_sharded_swarm(
         None if document.get("faults_plan") is None
         else FaultPlan.from_dict(document["faults_plan"])
     )
-
-    if doc_shards == 1:
-        inner_kwargs = {
-            key: value for key, value in swarm_kwargs.items()
-            if key in ("profile",)
-        }
-        inner = _restore_soa_swarm(document["solo"], **inner_kwargs)
-        if target == 1:
-            swarm = ShardedSwarm(
-                config, shards=1, metrics=inner.metrics,
-                faults=plan, **swarm_kwargs,
-            )
-            swarm._solo = inner
-            swarm.resumed_from_round = inner._rounds
-            return swarm
-        # Repartition a solo snapshot onto >= 2 workers: synthesize a
-        # one-shard coordinated document and fall through.
-        document = _sharded_document_from_solo(document, inner)
-        doc_shards = 1
-
     if target == doc_shards:
         swarm = ShardedSwarm(
             config, shards=target, faults=plan, **swarm_kwargs,
@@ -1495,26 +1385,25 @@ def restore_sharded_swarm(
     return _repartition(document, config, plan, target, swarm_kwargs)
 
 
-def _sharded_document_from_solo(document: dict, inner: SoaSwarm) -> dict:
-    """Lift a ``shards=1`` (solo) snapshot into coordinator form."""
-    from repro.checkpoint.schema import _snapshot_metrics, _triples
-
-    solo = document["solo"]
-    sw = solo["swarm"]
+def _sharded_document_from_soa(document: dict) -> dict:
+    """Lift a soa snapshot into one-shard coordinator form."""
+    sw = document["swarm"]
+    stats = sw["connection_stats"]
+    faults = document["faults"]
     return {
         "schema_version": document["schema_version"],
         "backend": "sharded",
         "shards": 1,
         "config": document["config"],
-        "faults_plan": document.get("faults_plan"),
+        "faults_plan": None if faults is None else faults["plan"],
         "coordinator": {
             "generation": 0,
             "rng": sw["rng"],
             "rounds": int(sw["rounds"]),
             "next_round_time": (
-                (inner._rounds + 1) * inner.config.piece_time
+                (int(sw["rounds"]) + 1) * document["config"]["piece_time"]
             ),
-            "population_log": _triples(inner._population_log),
+            "population_log": sw["population_log"],
             "global_next_id": int(sw["next_id"]),
             "next_arrival": None,
             "pending_rows": [None],
@@ -1523,10 +1412,8 @@ def _sharded_document_from_solo(document: dict, inner: SoaSwarm) -> dict:
                 "n_seeds": int(sw["n_seeds"]),
                 "piece_counts": list(sw["piece_counts"]),
                 "stats": [
-                    sw["connection_stats"]["survived"],
-                    sw["connection_stats"]["dropped"],
-                    sw["connection_stats"]["attempts"],
-                    sw["connection_stats"]["formed"],
+                    stats["survived"], stats["dropped"],
+                    stats["attempts"], stats["formed"],
                 ],
                 "seed_uploads": int(sw["seed_upload_count"]),
             }],
@@ -1535,9 +1422,9 @@ def _sharded_document_from_solo(document: dict, inner: SoaSwarm) -> dict:
                 "seed_uploads": 0, "events": 0,
             },
             "carried_faults": None,
-            "metrics": _snapshot_metrics(inner.metrics),
+            "metrics": document["metrics"],
         },
-        "shard_docs": [solo],
+        "shard_docs": [document],
     }
 
 
@@ -1549,68 +1436,42 @@ def _repartition(
     swarm_kwargs: dict,
 ) -> ShardedSwarm:
     """Checkpoint -> repartition -> resume at a new shard count."""
-    from repro.checkpoint.schema import _restore_metrics
-
     if target < 2:
         raise CheckpointError(
             "re-sharding to shards=1 is not supported; resume with the "
             "original shard count or >= 2 workers"
         )
-    coord = document["coordinator"]
-    words = _bits_words(config.num_pieces)
-
     swarm = ShardedSwarm(config, shards=target, faults=plan, **swarm_kwargs)
-    swarm._generation = int(coord["generation"]) + 1
-    swarm._tracker_rng = np.random.default_rng(0)
-    swarm._tracker_rng.bit_generator.state = coord["rng"]
-    swarm._rounds = int(coord["rounds"])
-    swarm._next_round_time = float(coord["next_round_time"])
-    swarm._population_log = [
-        (float(t), int(le), int(se)) for t, le, se in coord["population_log"]
-    ]
-    swarm._global_next_id = int(coord["global_next_id"])
-    swarm._next_arrival = (
-        None if coord["next_arrival"] is None
-        else float(coord["next_arrival"])
-    )
-    restored_metrics = _restore_metrics(coord["metrics"])
-    _copy_metrics_in_place(swarm.metrics, restored_metrics)
+    swarm._load_coordinator_block(document)
+    swarm._generation += 1
 
     # Fold every old shard's cumulative counters into the carried base;
     # fresh workers restart their counters from zero.
-    carried = {key: int(value) for key, value in coord["carried"].items()}
-    carried_faults = (
-        None if coord["carried_faults"] is None
-        else _fault_stats_from_dict(coord["carried_faults"])
-    )
-    for state in coord["shard_state"]:
+    carried = swarm._carried
+    for state in swarm._shard_state:
         survived, dropped, attempts, formed = state["stats"]
-        carried["survived"] += int(survived)
-        carried["dropped"] += int(dropped)
-        carried["attempts"] += int(attempts)
-        carried["formed"] += int(formed)
-        carried["seed_uploads"] += int(state["seed_uploads"])
+        carried["survived"] += survived
+        carried["dropped"] += dropped
+        carried["attempts"] += attempts
+        carried["formed"] += formed
+        carried["seed_uploads"] += state["seed_uploads"]
     for shard_doc in document["shard_docs"]:
         carried["events"] += int(shard_doc["engine"]["processed"])
         faults_doc = shard_doc.get("faults")
         if faults_doc is not None and plan is not None:
-            if carried_faults is None:
-                carried_faults = FaultStats()
-            carried_faults.merge(_fault_stats_from_dict(faults_doc["stats"]))
-    swarm._carried = carried
-    swarm._carried_faults = carried_faults
+            if swarm._carried_faults is None:
+                swarm._carried_faults = FaultStats()
+            swarm._carried_faults.merge(
+                _fault_stats_from_dict(faults_doc["stats"])
+            )
 
     # Gather every alive peer (plus in-flight migrants) and rehash.
-    parts: List[dict] = []
-    for shard_doc in document["shard_docs"]:
-        rows = _rows_from_store_block(shard_doc["store"], words)
-        if rows is not None:
-            parts.append(rows)
-    for rows_doc in coord["pending_rows"]:
-        rows = _rows_from_json(rows_doc, words)
-        if rows is not None:
-            parts.append(rows)
-    merged = _concat_rows(parts)
+    words = words_for(config.num_pieces)
+    parts = [
+        _rows_from_store_block(shard_doc["store"], words)
+        for shard_doc in document["shard_docs"]
+    ]
+    merged = _concat_rows(parts + swarm._pending_rows)
     adopt: List[Optional[dict]] = [None] * target
     shard_state: List[dict] = []
     for index in range(target):

@@ -447,6 +447,13 @@ class ScratchArena:
 from repro.sim.swarm import Swarm, SwarmResult  # noqa: E402  (cycle-safe: swarm imports soa lazily)
 
 
+#: Options of ``Swarm(config, backend="sharded", shards=1)``, which
+#: dispatches to :class:`SoaSwarm` (see ``Swarm.__new__``).
+_SINGLE_SHARD_OPTIONS = frozenset(
+    ("shards", "shard_mix", "max_worker_restarts")
+)
+
+
 class SoaSwarm(Swarm):
     """Array-native swarm: same protocol, same config, ~2 orders faster.
 
@@ -456,6 +463,11 @@ class SoaSwarm(Swarm):
     sequential/windowed streaming policies) raise
     :class:`~repro.errors.ParameterError` pointing at the object
     backend.
+
+    ``Swarm(config, backend="sharded", shards=1)`` also constructs this
+    class (one shard *is* the soa engine), so the constructor accepts
+    that spelling; the sharded-only options it may carry (``shard_mix``,
+    ``max_worker_restarts``) steer workers and are inert here.
     """
 
     def __init__(
@@ -472,10 +484,18 @@ class SoaSwarm(Swarm):
         profile: bool = False,
         checkpoint_every: int = 0,
         checkpoint_path: Optional[str] = None,
+        **sharded,
     ):
-        if backend != "soa":
+        single_shard = (
+            backend == "sharded"
+            and sharded.get("shards") == 1
+            and set(sharded) <= _SINGLE_SHARD_OPTIONS
+        )
+        if not (single_shard or (backend == "soa" and not sharded)):
             raise ParameterError(
-                f"SoaSwarm is the 'soa' backend, got backend={backend!r}"
+                f"SoaSwarm is the 'soa' backend (or 'sharded' with "
+                f"shards=1), got backend={backend!r}"
+                + "".join(f", {k}={v!r}" for k, v in sorted(sharded.items()))
             )
         self._check_supported(
             config, instrument_first, instrumented_avoid_seeds, rarity_view

@@ -151,7 +151,9 @@ class Swarm:
             ``Swarm(config, backend="soa")`` transparently constructs a
             :class:`~repro.sim.soa.SoaSwarm`, and
             ``Swarm(config, backend="sharded", shards=N)`` a
-            :class:`~repro.sim.sharded.ShardedSwarm`.
+            :class:`~repro.sim.sharded.ShardedSwarm` for ``N >= 2``.
+            ``shards=1`` constructs the :class:`~repro.sim.soa.SoaSwarm`
+            itself (results report ``backend == "soa"``).
         instrument_first: instrument the first N leechers to enter the
             swarm (initial population first, then arrivals) — they log
             per-round potential-set and connection series.
@@ -189,7 +191,12 @@ class Swarm:
                 f"(e.g. Swarm(config, backend='soa') or "
                 f"repro-bt run --backend soa)"
             )
-        if cls is Swarm and backend == "soa":
+        # One shard is the soa engine itself, so ``shards=1`` is
+        # byte-identical to ``backend="soa"`` by construction.
+        if cls is Swarm and (
+            backend == "soa"
+            or (backend == "sharded" and kwargs.get("shards") == 1)
+        ):
             from repro.sim.soa import SoaSwarm
 
             return super().__new__(SoaSwarm)
@@ -824,8 +831,25 @@ class Swarm:
         return restore_swarm(snapshot, **swarm_kwargs)
 
     # ------------------------------------------------------------------
-    # Entry point
+    # Entry points
     # ------------------------------------------------------------------
+    def step_round(self) -> bool:
+        """Advance one protocol round; ``False`` once the run has ended.
+
+        Dispatches the same events :meth:`run` would, so any number of
+        ``step_round()`` calls followed by :meth:`run` reproduces the
+        uninterrupted run.
+        """
+        if not self._setup_done:
+            self.setup()
+        before = self._rounds
+        while self._rounds == before:
+            next_time = self.engine.peek_time()
+            if next_time is None or next_time > self.config.max_time:
+                return False
+            self.engine.step()
+        return True
+
     def run(self) -> SwarmResult:
         """Run to the configured horizon and return the result bundle."""
         start = time.perf_counter()

@@ -115,10 +115,10 @@ class TestCalibrateParameters:
         """End-to-end: fit on traces, predict download times."""
         import numpy as np
 
-        from repro.core.timeline import mean_timeline
+        from repro.core.timeline import _mean_timeline_impl
 
         params, _ = calibrate_parameters(model_traces, max_conns=2, ns_size=3)
         chain = DownloadChain(params)
-        predicted = mean_timeline(chain, runs=60, seed=9).total_download_time()
+        predicted = _mean_timeline_impl(chain, runs=60, seed=9).total_download_time()
         observed = np.mean([t.duration() for t in model_traces])
         assert predicted == pytest.approx(observed, rel=0.35)

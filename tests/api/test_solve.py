@@ -1,9 +1,9 @@
 """Tests for the unified `repro.api.solve` front door.
 
 Covers the quantity/method vocabulary, ``auto`` resolution, option
-validation, the JSON view, and — the contract the deprecation shims
-promise — bit-identical results between each historical entry point and
-the `solve()` call that replaces it.
+validation, the JSON view, and bit-identical results between the engine
+behind each retired entry point (the ``_*_impl`` functions) and the
+`solve()` call that replaces it.
 """
 
 import json
@@ -16,15 +16,15 @@ from repro.api import DownloadTimeResult, ModelParams, Quantity, Query, solve
 from repro.core.exact import (
     PotentialRatioExact,
     TransientResult,
-    exact_potential_ratio,
-    propagate_distribution,
+    _exact_potential_ratio_impl,
+    _propagate_distribution_impl,
 )
 from repro.core.methods import Method
-from repro.core.sparse import solve_fundamental
+from repro.core.sparse import _solve_fundamental_impl
 from repro.core.timeline import (
     PhaseStatistics,
     TimelineResult,
-    mean_timeline,
+    _mean_timeline_impl,
     phase_duration_statistics,
 )
 from repro.errors import ParameterError
@@ -190,21 +190,22 @@ class TestDispatch:
 
 
 class TestShimEquivalence:
-    """The deprecated entry points must match `solve()` bit-for-bit."""
+    """The engines the retired entry points forwarded to (the
+    ``_*_impl`` functions) must match `solve()` bit-for-bit — the
+    promise that lets historical callers migrate without re-validating
+    their numbers."""
 
     def test_exact_potential_ratio_sparse(self, params, cache):
-        with pytest.warns(DeprecationWarning, match="exact_potential_ratio"):
-            old = exact_potential_ratio(cache.chain(params))
+        old = _exact_potential_ratio_impl(cache.chain(params))
         new = solve(params, "potential_ratio", "exact", cache=cache).payload
         assert np.array_equal(old.ratio, new.ratio, equal_nan=True)
         assert np.array_equal(old.occupancy, new.occupancy)
         assert old.pruned_mass == new.pruned_mass
 
     def test_exact_potential_ratio_dict(self, params, cache):
-        with pytest.warns(DeprecationWarning):
-            old = exact_potential_ratio(
-                cache.chain(params), method="dict", horizon=40
-            )
+        old = _exact_potential_ratio_impl(
+            cache.chain(params), method="dict", horizon=40
+        )
         new = solve(
             params, "potential_ratio", "dict", cache=cache, horizon=40
         ).payload
@@ -212,8 +213,7 @@ class TestShimEquivalence:
         assert old.pruned_mass == new.pruned_mass
 
     def test_propagate_distribution(self, params, cache):
-        with pytest.warns(DeprecationWarning, match="propagate_distribution"):
-            old = propagate_distribution(cache.chain(params), 6)
+        old = _propagate_distribution_impl(cache.chain(params), 6)
         new = solve(params, "transient", cache=cache, horizon=6).payload
         assert np.array_equal(old.completion_pmf, new.completion_pmf)
         assert np.array_equal(old.expected_pieces, new.expected_pieces)
@@ -221,10 +221,9 @@ class TestShimEquivalence:
 
     @pytest.mark.parametrize("method, batch", [("batch", True), ("serial", False)])
     def test_mean_timeline(self, params, cache, method, batch):
-        with pytest.warns(DeprecationWarning, match="mean_timeline"):
-            old = mean_timeline(
-                cache.chain(params), runs=8, seed=3, batch=batch
-            )
+        old = _mean_timeline_impl(
+            cache.chain(params), runs=8, seed=3, batch=batch
+        )
         new = solve(
             params, "timeline", method, cache=cache, runs=8, seed=3
         ).payload
@@ -233,8 +232,7 @@ class TestShimEquivalence:
         assert old.runs == new.runs
 
     def test_solve_fundamental_moments(self, params, cache):
-        with pytest.warns(DeprecationWarning, match="solve_fundamental"):
-            old = solve_fundamental(cache.chain(params))
+        old = _solve_fundamental_impl(cache.chain(params))
         new = solve(params, "download_time", "exact", cache=cache).payload
         assert old.mean_download_time == new.mean
         assert old.variance_download_time == new.variance

@@ -11,7 +11,9 @@ the guarantees under test compose the two:
   ``run_swarm_with_checkpoints`` with an identical fingerprint;
 * a checkpoint taken at ``shards=2`` resumes at ``shards=4``
   (checkpoint -> repartition -> resume) deterministically, conserving
-  every peer id.
+  every peer id;
+* ``shards=1`` is the soa engine, so it writes soa documents; those
+  (and legacy ``"solo"``-form files) resume exactly or re-shard.
 """
 
 import os
@@ -19,7 +21,7 @@ import signal
 
 import pytest
 
-from repro.checkpoint.format import read_checkpoint
+from repro.checkpoint.format import read_checkpoint, write_checkpoint
 from repro.checkpoint.store import run_swarm_with_checkpoints
 from repro.errors import CheckpointError, SimulationError
 from repro.sim.config import SimConfig
@@ -116,7 +118,7 @@ def test_abandoned_run_resumes_from_checkpoint_file(tmp_path):
 
 
 def test_solo_shard_checkpoint_resumes_identical_to_soa(tmp_path):
-    """shards=1 checkpoints through the soa document and stays exact."""
+    """shards=1 writes a plain soa document and stays exact."""
     config = sharded_config(max_time=20.0)
     baseline = run_swarm(config, backend="soa")
 
@@ -128,14 +130,96 @@ def test_solo_shard_checkpoint_resumes_identical_to_soa(tmp_path):
     for _ in range(10):
         assert swarm.step_round()
     document = read_checkpoint(path)
-    assert document["backend"] == "sharded"
-    assert document["shards"] == 1
+    assert document["backend"] == "soa"
+    assert "shards" not in document
 
     result = run_swarm_with_checkpoints(
         config, checkpoint_path=path, backend="sharded", shards=1
     )
     assert result.resumed_from_round == 7
     assert result.fingerprint() == baseline.fingerprint()
+
+
+def test_single_shard_checkpoint_reshards_onto_two(tmp_path):
+    """A shards=1 (soa) checkpoint resumes at shards=2: every peer id
+    alive at the checkpoint survives the lift, and the run reaches the
+    horizon."""
+    config = sharded_config(max_time=12.0)
+    path = tmp_path / "one.repro-ckpt"
+    swarm = Swarm(
+        config, backend="sharded", shards=1,
+        checkpoint_every=5, checkpoint_path=str(path),
+    )
+    for _ in range(5):
+        assert swarm.step_round()
+    document = read_checkpoint(path)
+    ids_at_checkpoint = document["store"]["peer_id"]
+    assert ids_at_checkpoint
+
+    resharded = restore_sharded_swarm(document, shards=2)
+    try:
+        assert resharded.shards == 2
+        assert resharded.resumed_from_round == 5
+        lifted = resharded.snapshot()
+    finally:
+        resharded.close()
+    ids_after = [
+        pid for shard_doc in lifted["shard_docs"]
+        for pid in shard_doc["store"]["peer_id"]
+    ]
+    assert sorted(ids_after) == sorted(ids_at_checkpoint)
+
+    result = run_swarm_with_checkpoints(
+        config, checkpoint_path=path, backend="sharded", shards=2
+    )
+    assert result.backend == "sharded"
+    assert result.resumed_from_round == 5
+    assert result.total_rounds == int(config.max_time)
+
+
+def test_legacy_solo_document_restores_identical_to_soa(tmp_path):
+    """``"solo"``-form files from before shards=1 became the soa engine
+    wrap an ordinary soa document, and keep restoring exactly."""
+    config = sharded_config(max_time=20.0)
+    baseline = run_swarm(config, backend="soa")
+
+    swarm = Swarm(config, backend="soa")
+    for _ in range(7):
+        assert swarm.step_round()
+    soa_document = swarm.snapshot()
+    legacy = {
+        "schema_version": soa_document["schema_version"],
+        "backend": "sharded",
+        "shards": 1,
+        "config": soa_document["config"],
+        "faults_plan": None,
+        "solo": soa_document,
+    }
+    path = tmp_path / "legacy.repro-ckpt"
+    write_checkpoint(legacy, path)
+
+    result = run_swarm_with_checkpoints(
+        config, checkpoint_path=path, backend="sharded", shards=1
+    )
+    assert result.resumed_from_round == 7
+    assert result.fingerprint() == baseline.fingerprint()
+    resharded = restore_sharded_swarm(read_checkpoint(path), shards=2)
+    assert resharded.run().total_rounds == int(config.max_time)
+
+
+@pytest.mark.parametrize("finish", ("run", "close"))
+def test_checkpoint_after_workers_closed_is_actionable(tmp_path, finish):
+    config = sharded_config(max_time=8.0)
+    swarm = Swarm(config, backend="sharded", shards=2)
+    if finish == "run":
+        swarm.run()
+    else:
+        assert swarm.step_round()
+        swarm.close()
+    with pytest.raises(SimulationError, match="checkpoint_every"):
+        swarm.write_checkpoint(str(tmp_path / "late.repro-ckpt"))
+    with pytest.raises(SimulationError, match="workers are closed"):
+        swarm.snapshot()
 
 
 def test_reshard_on_resume_two_to_four(tmp_path):

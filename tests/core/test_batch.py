@@ -19,7 +19,7 @@ from repro.core.parameters import ModelParameters
 from repro.core.phases import Phase, phase_durations
 from repro.core.timeline import (
     expected_download_time_exact,
-    mean_timeline,
+    _mean_timeline_impl,
     phase_duration_statistics,
     potential_ratio_by_pieces,
 )
@@ -143,8 +143,8 @@ class TestStatisticalEquivalence:
     def test_mean_download_time_agrees_with_exact(self, params):
         chain = DownloadChain(params)
         exact = expected_download_time_exact(chain)
-        batched = mean_timeline(chain, runs=600, seed=2, batch=True)
-        serial = mean_timeline(chain, runs=600, seed=2, batch=False)
+        batched = _mean_timeline_impl(chain, runs=600, seed=2, batch=True)
+        serial = _mean_timeline_impl(chain, runs=600, seed=2, batch=False)
         assert batched.total_download_time() == pytest.approx(exact, rel=0.08)
         assert serial.total_download_time() == pytest.approx(exact, rel=0.08)
         # And therefore with each other.

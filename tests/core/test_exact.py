@@ -5,13 +5,13 @@ import pytest
 
 from repro.core.chain import DownloadChain
 from repro.core.exact import (
-    exact_potential_ratio,
-    propagate_distribution,
+    _exact_potential_ratio_impl,
+    _propagate_distribution_impl,
 )
 from repro.core.parameters import ModelParameters
 from repro.core.timeline import (
     expected_download_time_exact,
-    mean_timeline,
+    _mean_timeline_impl,
     potential_ratio_by_pieces,
 )
 from repro.errors import ParameterError
@@ -24,7 +24,7 @@ def tiny_chain():
 
 @pytest.fixture(scope="module")
 def transient(tiny_chain):
-    return propagate_distribution(tiny_chain, horizon=200)
+    return _propagate_distribution_impl(tiny_chain, horizon=200)
 
 
 class TestPropagation:
@@ -41,7 +41,7 @@ class TestPropagation:
         assert transient.mean_download_time() == pytest.approx(exact, rel=1e-3)
 
     def test_mean_matches_monte_carlo(self, tiny_chain, transient):
-        mc = mean_timeline(tiny_chain, runs=500, seed=1).total_download_time()
+        mc = _mean_timeline_impl(tiny_chain, runs=500, seed=1).total_download_time()
         assert transient.mean_download_time() == pytest.approx(mc, rel=0.08)
 
     def test_expected_pieces_monotone(self, transient):
@@ -54,30 +54,30 @@ class TestPropagation:
         assert transient.pruned_mass < 1e-6
 
     def test_short_horizon_mean_rejected(self, tiny_chain):
-        short = propagate_distribution(tiny_chain, horizon=3)
+        short = _propagate_distribution_impl(tiny_chain, horizon=3)
         with pytest.raises(ParameterError):
             short.mean_download_time()
 
     def test_validation(self, tiny_chain):
         with pytest.raises(ParameterError):
-            propagate_distribution(tiny_chain, horizon=0)
+            _propagate_distribution_impl(tiny_chain, horizon=0)
         with pytest.raises(ParameterError):
-            propagate_distribution(tiny_chain, horizon=10, prune=0.01)
+            _propagate_distribution_impl(tiny_chain, horizon=10, prune=0.01)
 
 
 class TestExactPotentialRatio:
     def test_matches_monte_carlo(self, tiny_chain):
-        exact = exact_potential_ratio(tiny_chain).ratio
+        exact = _exact_potential_ratio_impl(tiny_chain).ratio
         mc = potential_ratio_by_pieces(tiny_chain, runs=2000, seed=2).ratio
         for b in range(1, 8):
             if np.isfinite(exact[b]) and np.isfinite(mc[b]):
                 assert exact[b] == pytest.approx(mc[b], abs=0.05), f"b={b}"
 
     def test_bounds(self, tiny_chain):
-        exact = exact_potential_ratio(tiny_chain).ratio
+        exact = _exact_potential_ratio_impl(tiny_chain).ratio
         finite = exact[np.isfinite(exact)]
         assert (finite >= 0).all()
         assert (finite <= 1).all()
 
     def test_completion_entry_zero(self, tiny_chain):
-        assert exact_potential_ratio(tiny_chain).ratio[-1] == 0.0
+        assert _exact_potential_ratio_impl(tiny_chain).ratio[-1] == 0.0

@@ -18,15 +18,15 @@ from hypothesis import strategies as st
 from repro.core.batch import BatchChainSampler
 from repro.core.chain import DownloadChain
 from repro.core.exact import (
-    exact_potential_ratio,
-    propagate_distribution,
+    _exact_potential_ratio_impl,
+    _propagate_distribution_impl,
 )
 from repro.core.parameters import ModelParameters
 from repro.core.phases import Phase
 from repro.core.sparse import (
     compile_sparse_operator,
     mean_hitting_time,
-    solve_fundamental,
+    _solve_fundamental_impl,
 )
 from repro.core.timeline import (
     expected_download_time_exact,
@@ -123,10 +123,10 @@ class TestSparseVsDict:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_propagation_total_variation(self, params):
         chain = DownloadChain(params)
-        dict_result = propagate_distribution(
+        dict_result = _propagate_distribution_impl(
             chain, HORIZON, method="dict", prune=0.0
         )
-        sparse_result = propagate_distribution(chain, HORIZON, method="sparse")
+        sparse_result = _propagate_distribution_impl(chain, HORIZON, method="sparse")
         tv_distance = float(
             np.abs(
                 dict_result.completion_pmf - sparse_result.completion_pmf
@@ -149,8 +149,8 @@ class TestSparseVsDict:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_potential_ratio_agrees(self, params):
         chain = DownloadChain(params)
-        dict_result = exact_potential_ratio(chain, method="dict", prune=0.0)
-        sparse_result = exact_potential_ratio(chain, method="sparse")
+        dict_result = _exact_potential_ratio_impl(chain, method="dict", prune=0.0)
+        sparse_result = _exact_potential_ratio_impl(chain, method="sparse")
         assert np.array_equal(
             np.isnan(dict_result.ratio), np.isnan(sparse_result.ratio)
         )
@@ -170,8 +170,8 @@ class TestFundamentalSolution:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_mean_agrees_with_propagation(self, params):
         chain = DownloadChain(params)
-        solution = solve_fundamental(chain)
-        transient = propagate_distribution(chain, HORIZON, method="sparse")
+        solution = _solve_fundamental_impl(chain)
+        transient = _propagate_distribution_impl(chain, HORIZON, method="sparse")
         assert solution.mean_download_time == pytest.approx(
             transient.mean_download_time(), abs=1e-6
         )
@@ -190,7 +190,7 @@ class TestFundamentalSolution:
     @pytest.mark.parametrize("params", SMALL_PARAMS, ids=SMALL_IDS)
     def test_mean_and_variance_agree_with_monte_carlo(self, params):
         chain = DownloadChain(params)
-        solution = solve_fundamental(chain)
+        solution = _solve_fundamental_impl(chain)
         runs = 4000
         steps = BatchChainSampler(chain).sample(runs, seed=11).steps
         sem = steps.std(ddof=1) / np.sqrt(runs)
@@ -201,7 +201,7 @@ class TestFundamentalSolution:
 
     def test_occupancy_identities(self):
         chain = DownloadChain(SMALL_PARAMS[0])
-        solution = solve_fundamental(chain)
+        solution = _solve_fundamental_impl(chain)
         # Total occupancy is the mean download time, split consistently
         # across piece counts, the timeline, and the phases.
         assert solution.occupancy_by_pieces.sum() == pytest.approx(
@@ -230,7 +230,7 @@ class TestFundamentalSolution:
 
     def test_timeline_agrees_with_monte_carlo(self):
         chain = DownloadChain(SMALL_PARAMS[1])
-        solution = solve_fundamental(chain)
+        solution = _solve_fundamental_impl(chain)
         hits = BatchChainSampler(chain).sample(3000, seed=13).first_passage()
         mc_mean = hits.mean(axis=0)
         sem = hits.std(axis=0, ddof=1) / np.sqrt(hits.shape[0])
@@ -243,23 +243,23 @@ class TestSatellites:
     def test_dict_pruned_mass_tracked_and_warns(self):
         chain = DownloadChain(SMALL_PARAMS[0])
         with pytest.warns(RuntimeWarning, match="discarded"):
-            result = exact_potential_ratio(
+            result = _exact_potential_ratio_impl(
                 chain, method="dict", prune=1e-4, warn_above=1e-12
             )
         assert result.pruned_mass > 1e-12
-        quiet = exact_potential_ratio(chain, method="dict", prune=0.0)
+        quiet = _exact_potential_ratio_impl(chain, method="dict", prune=0.0)
         assert quiet.pruned_mass == 0.0
 
     def test_tail_mass_and_error_message(self):
         chain = DownloadChain(SMALL_PARAMS[0])
-        short = propagate_distribution(chain, 3, method="sparse")
+        short = _propagate_distribution_impl(chain, 3, method="sparse")
         assert short.tail_mass == pytest.approx(
             1.0 - short.completion_cdf[-1]
         )
         assert short.tail_mass > 0.001
         with pytest.raises(ParameterError, match="mean_hitting_time"):
             short.mean_download_time()
-        long = propagate_distribution(chain, HORIZON, method="sparse")
+        long = _propagate_distribution_impl(chain, HORIZON, method="sparse")
         assert long.tail_mass < 1e-3
 
     def test_singular_chain_raises_actionable_error(self):
@@ -268,7 +268,7 @@ class TestSatellites:
             num_pieces=6, max_conns=2, ns_size=3, alpha=0.0, gamma=0.2
         )
         with pytest.raises(ParameterError, match="singular|infinite"):
-            solve_fundamental(params)
+            _solve_fundamental_impl(params)
 
 
 class TestInvariants:

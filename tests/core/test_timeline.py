@@ -7,7 +7,7 @@ from repro.core.chain import DownloadChain
 from repro.core.parameters import ModelParameters
 from repro.core.timeline import (
     expected_download_time_exact,
-    mean_timeline,
+    _mean_timeline_impl,
     potential_ratio_by_pieces,
 )
 from repro.errors import ParameterError
@@ -20,19 +20,19 @@ def tiny_chain():
 
 class TestMeanTimeline:
     def test_monotone_non_decreasing(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=30, seed=1)
+        result = _mean_timeline_impl(tiny_chain, runs=30, seed=1)
         assert (np.diff(result.mean_steps) >= -1e-9).all()
 
     def test_starts_at_zero(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=10, seed=1)
+        result = _mean_timeline_impl(tiny_chain, runs=10, seed=1)
         assert result.mean_steps[0] == 0.0
 
     def test_total_download_time(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=10, seed=1)
+        result = _mean_timeline_impl(tiny_chain, runs=10, seed=1)
         assert result.total_download_time() == result.mean_steps[-1]
 
     def test_shape(self, tiny_chain):
-        result = mean_timeline(tiny_chain, runs=5, seed=0)
+        result = _mean_timeline_impl(tiny_chain, runs=5, seed=0)
         expected = tiny_chain.params.num_pieces + 1
         assert result.pieces.size == expected
         assert result.mean_steps.size == expected
@@ -41,16 +41,16 @@ class TestMeanTimeline:
 
     def test_agrees_with_exact_solution(self, tiny_chain):
         exact = expected_download_time_exact(tiny_chain)
-        estimate = mean_timeline(tiny_chain, runs=600, seed=2)
+        estimate = _mean_timeline_impl(tiny_chain, runs=600, seed=2)
         assert estimate.total_download_time() == pytest.approx(exact, rel=0.08)
 
     def test_invalid_runs(self, tiny_chain):
         with pytest.raises(ParameterError):
-            mean_timeline(tiny_chain, runs=0)
+            _mean_timeline_impl(tiny_chain, runs=0)
 
     def test_respects_parallelism_bound(self, tiny_chain):
         # Cannot finish faster than B / k rounds (plus the bootstrap step).
-        result = mean_timeline(tiny_chain, runs=40, seed=3)
+        result = _mean_timeline_impl(tiny_chain, runs=40, seed=3)
         bound = tiny_chain.params.num_pieces / tiny_chain.params.max_conns
         assert result.total_download_time() >= bound - 1e-9
 

@@ -2,9 +2,9 @@
 
 Two layers, matching the backend's contract:
 
-* ``shards=1`` hosts a single unmodified in-process SoA swarm, so its
-  fingerprint must be *identical* to ``backend="soa"`` — byte-for-byte,
-  including under fault plans and poisson arrivals.
+* ``shards=1`` constructs the SoA engine itself, so its fingerprint
+  must be *identical* to ``backend="soa"`` — byte-for-byte, including
+  under fault plans and poisson arrivals.
 * ``shards >= 2`` partitions the population: per-shard neighbor sets,
   coordinator-owned arrivals and round-boundary migration change the
   trajectory, so individual runs differ while ensemble statistics must
@@ -16,10 +16,13 @@ Two layers, matching the backend's contract:
 import numpy as np
 import pytest
 
+from repro.errors import ParameterError
 from repro.faults.plan import FaultPlan, OutageWindow
 from repro.sim.config import SimConfig
 from repro.sim.metrics import MetricsCollector
-from repro.sim.swarm import run_swarm
+from repro.sim.sharded import ShardedSwarm
+from repro.sim.soa import SoaSwarm
+from repro.sim.swarm import Swarm, run_swarm
 
 SEEDS = (0, 1, 2)
 
@@ -77,13 +80,26 @@ def ensemble(config, backend, **swarm_kwargs):
 
 
 class TestSingleShardIsExact:
+    def test_single_shard_constructs_the_soa_engine(self):
+        config = steady_config(seed=3)
+        assert isinstance(
+            Swarm(config, backend="sharded", shards=1), SoaSwarm
+        )
+        assert isinstance(Swarm(config, backend="sharded"), ShardedSwarm)
+        with pytest.raises(ParameterError, match="backend='soa'"):
+            ShardedSwarm(config, shards=1)
+        with pytest.raises(ParameterError, match="shards >= 2"):
+            Swarm(config, backend="sharded", shards=0)
+        with pytest.raises(ParameterError, match="shards=2"):
+            SoaSwarm(config, shards=2)
+
     def test_fingerprint_identical_to_soa(self):
         config = steady_config(
             initial_leechers=80, arrival_rate=4.0, max_time=30.0, seed=7
         )
         soa = run_swarm(config, backend="soa")
         sharded = run_swarm(config, backend="sharded", shards=1)
-        assert sharded.backend == "sharded"
+        assert sharded.backend == "soa"
         assert sharded.fingerprint() == soa.fingerprint()
 
     def test_fingerprint_identical_under_faults(self):
