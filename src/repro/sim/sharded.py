@@ -1386,10 +1386,19 @@ def restore_sharded_swarm(
 
 
 def _sharded_document_from_soa(document: dict) -> dict:
-    """Lift a soa snapshot into one-shard coordinator form."""
+    """Lift a soa snapshot into one-shard coordinator form.
+
+    The soa engine draws its next Poisson arrival ahead of time as a
+    queued ``"arrival"`` event; the coordinator carries that time as
+    ``next_arrival`` and keeps drawing gaps from the same RNG stream.
+    """
     sw = document["swarm"]
     stats = sw["connection_stats"]
     faults = document["faults"]
+    arrivals = [
+        float(when) for when, _seq, kind, _payload
+        in document["engine"]["queue"] if kind == "arrival"
+    ]
     return {
         "schema_version": document["schema_version"],
         "backend": "sharded",
@@ -1405,7 +1414,7 @@ def _sharded_document_from_soa(document: dict) -> dict:
             ),
             "population_log": sw["population_log"],
             "global_next_id": int(sw["next_id"]),
-            "next_arrival": None,
+            "next_arrival": min(arrivals) if arrivals else None,
             "pending_rows": [None],
             "shard_state": [{
                 "n_leech": int(sw["n_leech"]),

@@ -22,7 +22,11 @@ the same protocol round as flat numpy arrays:
   list; neighbor adjacency is a fixed-width int matrix for leechers and
   a bare degree counter for seeds (seeds never initiate trades, so
   their rows are never enumerated — which keeps the matrix width at the
-  leecher accept cap even when a seed is neighbor to the whole swarm).
+  leecher accept cap even when a seed is neighbor to the whole swarm);
+* **membership tests** in the steady round ("already partners?",
+  "which rows name a departing slot?", "which receivers got a piece?")
+  index a per-round partner table or a capacity-sized boolean mask
+  instead of sorting (``np.isin``/``np.unique``).
 
 The backend is selected with ``Swarm(config, backend="soa")`` (see
 :meth:`~repro.sim.swarm.Swarm.__new__`) and is *statistically*
@@ -69,6 +73,8 @@ __all__ = [
     "words_for",
     "interest_flags",
     "group_ranks",
+    "fill_partner_table",
+    "is_partner",
     "weighted_pick_rows",
 ]
 
@@ -371,22 +377,25 @@ class PeerStore:
         self.nbr[row, deg] = value
         self.nbr_deg[row] = deg + 1
 
-    def remove_row_entries(
-        self, holders: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Delete ``values[i]`` from ``holders[i]``'s neighbor row.
+    def remove_row_entries(self, rows: np.ndarray, gone: np.ndarray) -> None:
+        """Delete every entry pointing at a ``gone`` slot from ``rows``.
 
-        Vectorized multi-removal: mark the doomed cells, stable-partition
-        every affected row so kept entries slide left in order, then
-        blank the tail.  Each (holder, value) must exist exactly once.
+        ``rows`` are distinct neighbor-row indices.  ``gone`` is a
+        boolean slot mask of ``capacity + 1`` cells whose spare last
+        cell stays False: a row's -1 blanks index that cell, so the
+        doomed cells are one gather ``gone[nbr[rows]]``.  Every affected
+        row is stable-partitioned so kept entries slide left in order,
+        then its tail is blanked.
         """
-        if holders.size == 0:
+        if gone.size != self.capacity + 1 or gone[-1]:
+            raise SimulationError(
+                f"gone mask must have capacity + 1 = {self.capacity + 1} "
+                f"cells with the last one False, got {gone.size}"
+            )
+        if rows.size == 0:
             return
-        rows = np.unique(holders)
         sub = self.nbr[rows]
-        drop = np.zeros(sub.shape, dtype=bool)
-        row_pos = np.searchsorted(rows, holders)
-        np.logical_or.at(drop, row_pos, sub[row_pos] == values[:, None])
+        drop = gone[sub]
         order = np.argsort(drop, axis=1, kind="stable")
         packed = np.take_along_axis(sub, order, axis=1)
         new_deg = self.nbr_deg[rows] - drop.sum(axis=1)
@@ -394,6 +403,46 @@ class PeerStore:
         packed[tail] = -1
         self.nbr[rows] = packed
         self.nbr_deg[rows] = new_deg
+
+
+def fill_partner_table(pairs: np.ndarray, table: np.ndarray) -> None:
+    """Scatter the connection list into a per-slot partner table.
+
+    ``table`` is a ``(width, capacity)`` int array preset to -1, with
+    ``width`` at least the largest partner degree; afterwards column
+    ``j`` of slot ``s`` holds one of ``s``'s partners (in no particular
+    order) or -1.  Sort-free: each pass writes every unplaced endpoint
+    into row ``j`` of the table (of several writers to one slot, one
+    sticks), keeps the writes that stuck and retries the rest one row
+    down.  Pairs are unique, so a stuck write is recognised by value.
+    """
+    ends = pairs.ravel()
+    others = pairs[:, ::-1].ravel()
+    for line in table:
+        if ends.size == 0:
+            return
+        line[ends] = others
+        left = line[ends] != others
+        ends = ends[left]
+        others = others[left]
+    if ends.size:
+        raise SimulationError(
+            f"partner table of width {table.shape[0]} is too narrow"
+        )
+
+
+def is_partner(
+    table: np.ndarray, src: np.ndarray, dst: np.ndarray
+) -> np.ndarray:
+    """Per edge: is ``dst`` already a partner of ``src``?
+
+    One ``==`` per table row (``width <= k``) instead of a sorted
+    membership test over the whole connection list.
+    """
+    hit = np.zeros(src.size, dtype=bool)
+    for line in table:
+        hit |= line[src] == dst
+    return hit
 
 
 # ----------------------------------------------------------------------
@@ -1168,17 +1217,22 @@ class SoaSwarm(Swarm):
         degrees = self._partner_degrees()
         open_slots = config.max_conns - degrees[leech]
         # Candidate pool per proposer = potential minus current partners
-        # (the object backend's ``candidates`` list).
-        m_row = row_idx[mutual]
-        m_dst = dst[mutual]
+        # (the object backend's ``candidates`` list).  Only rows with an
+        # open slot propose, so only their edges are kept; the per-row
+        # edge order, and with it every draw below, is unchanged.
+        edges = np.flatnonzero(mutual & (open_slots > 0)[row_idx])
+        m_row = row_idx[edges]
+        m_dst = dst[edges]
         if self._pairs.shape[0]:
-            m_src = leech[m_row]
-            edge_key = (
-                np.minimum(m_src, m_dst) * cap
-                + np.maximum(m_src, m_dst)
-            )
-            pair_keys = self._pairs[:, 0] * cap + self._pairs[:, 1]
-            keep = ~np.isin(edge_key, pair_keys)
+            # Sized for k rows up front so a widening table does not
+            # regrow the arena buffer mid-run.
+            width = int(degrees.max())
+            table = self.scratch.take(
+                "partner_table", max(width, config.max_conns) * cap
+            )[: width * cap].reshape(width, cap)
+            table.fill(-1)
+            fill_partner_table(self._pairs, table)
+            keep = ~is_partner(table, leech[m_row], m_dst)
             m_row = m_row[keep]
             m_dst = m_dst[keep]
         avail = np.bincount(m_row, minlength=leech.size)
@@ -1385,7 +1439,9 @@ class SoaSwarm(Swarm):
         word = (p >> 6).astype(np.int64)
         bit = _ONE << (p & 63).astype(np.uint64)
         np.bitwise_or.at(store.bits, (r, word), bit)
-        affected = np.unique(r)
+        touched = self.scratch.zeros("grant_rows", store.capacity, np.bool_)
+        touched[r] = True
+        affected = np.flatnonzero(touched)
         before = store.counts[affected].copy()
         np.add.at(store.counts, r, 1)
         after = store.counts[affected]
@@ -1659,30 +1715,47 @@ class SoaSwarm(Swarm):
         if not keep.all():
             self._pairs = self._pairs[keep]
 
-    def _scrub_rows(
-        self, slots: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    def _scrub_rows(self, slots: np.ndarray) -> np.ndarray:
         """Sever leecher ``slots``'s relations, batch-wise.
 
         Decrements every seed neighbor's relation counter (duplicates
         across slots accumulate via ``subtract.at``; entries within one
-        row are unique) and returns the ``(holders, values)`` row
-        deletions for the surviving leech neighbors — holders are the
-        neighbors still carrying an entry, values the departing slot.
+        row are unique) and returns the leech neighbors whose rows
+        still carry an entry for one of ``slots`` (they may repeat).
         """
         store = self.store
         deg = store.nbr_deg[slots]
         width = int(deg.max()) if deg.size else 0
         if width == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
+            return np.zeros(0, dtype=np.int64)
         sub = store.nbr[slots, :width]
         mask = np.arange(width)[None, :] < deg[:, None]
         entries = sub[mask]
-        owners = np.repeat(slots, deg)
         seed_mask = store.is_seed[entries]
         np.subtract.at(store.nbr_deg, entries[seed_mask], 1)
-        return entries[~seed_mask], owners[~seed_mask]
+        return entries[~seed_mask]
+
+    def _unlink(
+        self, slots: np.ndarray, holders: np.ndarray, scan: bool = False
+    ) -> None:
+        """Delete every entry pointing at ``slots`` from other rows.
+
+        The rows to touch are ``holders`` (plus, with ``scan``, every
+        row holding one of ``slots`` — seeds keep no rows, so their
+        relations are found by one gather over the whole adjacency),
+        minus ``slots`` themselves, whose rows are cleared by the
+        caller.  Leecher relations are symmetric, so a holder's entries
+        that point at ``slots`` are exactly its scrubbed relations.
+        """
+        store = self.store
+        gone = self.scratch.zeros("unlink_gone", store.capacity + 1, np.bool_)
+        gone[slots] = True
+        touched = self.scratch.zeros("unlink_rows", store.capacity, np.bool_)
+        touched[holders] = True
+        if scan:
+            touched |= gone[store.nbr].any(axis=1)
+        touched[slots] = False
+        store.remove_row_entries(np.flatnonzero(touched), gone)
 
     def _handle_shakes(self, time: float) -> None:
         threshold = self.config.shake_threshold
@@ -1702,13 +1775,7 @@ class SoaSwarm(Swarm):
         shakers = candidates[ratios >= threshold]
         if shakers.size == 0:
             return
-        holders, values = self._scrub_rows(shakers)
-        # Shakers may be mutual neighbors; drop cross-entries only from
-        # rows that are not themselves being cleared below.
-        shaking = self.scratch.zeros("shaking", store.capacity, np.bool_)
-        shaking[shakers] = True
-        outside = ~shaking[holders]
-        store.remove_row_entries(holders[outside], values[outside])
+        self._unlink(shakers, self._scrub_rows(shakers))
         store.nbr[shakers] = -1
         store.nbr_deg[shakers] = 0
         store.shaken[shakers] = True
@@ -1742,26 +1809,8 @@ class SoaSwarm(Swarm):
         """Depart peers: scrub relations, replication counts, free slots."""
         store = self.store
         seed_departing = store.is_seed[slots]
-        holders, values = self._scrub_rows(slots[~seed_departing])
-        if seed_departing.any():
-            # Seeds are counter-only: their relations live in leecher
-            # rows, found by scanning the whole adjacency once.
-            seed_slots = slots[seed_departing]
-            hit = np.isin(store.nbr, seed_slots)
-            counts = hit.sum(axis=1)
-            hit_rows = np.flatnonzero(counts)
-            if hit_rows.size:
-                holders = np.concatenate(
-                    [holders, np.repeat(hit_rows, counts[hit_rows])]
-                )
-                values = np.concatenate([values, store.nbr[hit]])
-        if holders.size:
-            departing = self.scratch.zeros(
-                "departing", store.capacity, np.bool_
-            )
-            departing[slots] = True
-            outside = ~departing[holders]
-            store.remove_row_entries(holders[outside], values[outside])
+        holders = self._scrub_rows(slots[~seed_departing])
+        self._unlink(slots, holders, scan=bool(seed_departing.any()))
         self.piece_counts -= unpack_rows(
             store.bits[slots], self.config.num_pieces
         ).sum(axis=0)

@@ -177,6 +177,33 @@ def test_single_shard_checkpoint_reshards_onto_two(tmp_path):
     assert result.total_rounds == int(config.max_time)
 
 
+def test_soa_checkpoint_reshard_keeps_poisson_arrivals():
+    """Lifting a soa document onto shards carries its pending arrival:
+    the coordinator's next arrival is the soa queue's, and new peer ids
+    keep being handed out after the lift."""
+    config = sharded_config(max_time=12.0)
+    swarm = Swarm(config, backend="soa")
+    for _ in range(5):
+        assert swarm.step_round()
+    document = swarm.snapshot()
+    queued = [
+        when for when, _seq, kind, _payload in document["engine"]["queue"]
+        if kind == "arrival"
+    ]
+    assert len(queued) == 1
+
+    resharded = restore_sharded_swarm(document, shards=2)
+    try:
+        lifted = resharded.snapshot()["coordinator"]
+        assert lifted["next_arrival"] == queued[0]
+        for _ in range(3):
+            assert resharded.step_round()
+        later = resharded.snapshot()["coordinator"]
+    finally:
+        resharded.close()
+    assert later["global_next_id"] > lifted["global_next_id"]
+
+
 def test_legacy_solo_document_restores_identical_to_soa(tmp_path):
     """``"solo"``-form files from before shards=1 became the soa engine
     wrap an ordinary soa document, and keep restoring exactly."""

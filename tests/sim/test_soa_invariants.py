@@ -9,7 +9,8 @@ structural invariants of the array state after a run:
 * per-slot held counts match their rows' popcounts;
 * trading pairs reference live slots, are normalised (``a < b``) and
   unique, and leecher pair degrees respect ``k``;
-* neighbor rows reference live slots without self-loops or duplicates;
+* neighbor rows reference live slots without self-loops or duplicates,
+  and leecher-to-leecher relations are symmetric;
 * completed leechers leave (or become seeds) — no live leecher row is
   complete with immediate departure;
 * metrics series stay within their domains;
@@ -100,6 +101,16 @@ def _check_store_invariants(swarm):
         assert store.alive[row].all()
         assert (row != slot).all()
         assert np.unique(row).size == deg
+
+    # Leecher relations are symmetric: the row scrub drops a departing
+    # or shaking leecher from exactly the rows its own row names.
+    for slot in alive:
+        if store.is_seed[slot]:
+            continue
+        for other in store.nbr[slot, : store.nbr_deg[slot]]:
+            if store.is_seed[other]:
+                continue
+            assert slot in store.nbr[other, : store.nbr_deg[other]]
 
     # Immediate departure: live leechers are incomplete.
     if config.completed_become_seeds == 0 and alive.size:

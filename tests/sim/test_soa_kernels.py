@@ -8,6 +8,7 @@ lexsort), including the fast paths that bypass the general code.
 import numpy as np
 import pytest
 
+from repro.errors import SimulationError
 from repro.sim.bitfield import Bitfield
 from repro.sim.config import SimConfig
 from repro.sim.soa import (
@@ -15,8 +16,10 @@ from repro.sim.soa import (
     ScratchArena,
     SoaSwarm,
     _contiguous_ranks,
+    fill_partner_table,
     group_ranks,
     interest_flags,
+    is_partner,
     mask_from_words,
     pack_mask,
     pack_rows,
@@ -180,6 +183,272 @@ def test_weighted_pick_rows_frequencies_track_weights():
     picks = weighted_pick_rows(weights, rng)
     freq = np.bincount(picks, minlength=3) / picks.size
     np.testing.assert_allclose(freq, np.array([1, 2, 5]) / 8.0, atol=0.02)
+
+
+# ----------------------------------------------------------------------
+# Sort-free membership: the partner table, row scrubs, grant rows
+# ----------------------------------------------------------------------
+def _random_pairs(rng, capacity, max_degree, attempts):
+    """Unique normalised pairs (a < b), every slot's degree capped."""
+    degree = np.zeros(capacity, dtype=np.int64)
+    seen = set()
+    pairs = []
+    for _ in range(attempts):
+        a, b = sorted(rng.choice(capacity, size=2, replace=False).tolist())
+        full = degree[a] >= max_degree or degree[b] >= max_degree
+        if full or (a, b) in seen:
+            continue
+        seen.add((a, b))
+        degree[a] += 1
+        degree[b] += 1
+        pairs.append((a, b))
+    return np.array(pairs, dtype=np.int64).reshape(-1, 2), degree
+
+
+def _partner_reference(pairs, capacity, src, dst):
+    """The sorted membership test the partner table replaced."""
+    edge_key = np.minimum(src, dst) * capacity + np.maximum(src, dst)
+    return np.isin(edge_key, pairs[:, 0] * capacity + pairs[:, 1])
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_partner_table_membership_matches_isin(seed):
+    rng = np.random.default_rng(seed)
+    capacity, max_degree = 60, 4
+    pairs, degree = _random_pairs(rng, capacity, max_degree, 150)
+    width = int(degree.max())
+    table = np.full((width, capacity), -1, dtype=np.int64)
+    fill_partner_table(pairs, table)
+    # Every slot's table column holds exactly its partners.
+    for slot in range(capacity):
+        held = sorted(int(v) for v in table[:, slot] if v >= 0)
+        expected = sorted(
+            int(b if a == slot else a)
+            for a, b in pairs.tolist() if slot in (a, b)
+        )
+        assert held == expected
+    # Random edges plus every pair in both orientations.
+    src = np.concatenate([rng.integers(0, capacity, 400), pairs[:, 0],
+                          pairs[:, 1]])
+    dst = np.concatenate([rng.integers(0, capacity, 400), pairs[:, 1],
+                          pairs[:, 0]])
+    np.testing.assert_array_equal(
+        is_partner(table, src, dst),
+        _partner_reference(pairs, capacity, src, dst),
+    )
+
+
+def test_partner_table_empty_inputs():
+    capacity = 10
+    empty = np.zeros(0, dtype=np.int64)
+    table = np.full((0, capacity), -1, dtype=np.int64)
+    fill_partner_table(np.zeros((0, 2), dtype=np.int64), table)
+    src = np.arange(capacity)
+    assert not is_partner(table, src, src[::-1]).any()
+    pairs = np.array([[1, 2]], dtype=np.int64)
+    table = np.full((1, capacity), -1, dtype=np.int64)
+    fill_partner_table(pairs, table)
+    assert is_partner(table, empty, empty).size == 0
+    np.testing.assert_array_equal(
+        is_partner(table, np.array([1, 2, 1]), np.array([2, 1, 3])),
+        [True, True, False],
+    )
+
+
+def test_partner_table_too_narrow_raises():
+    pairs = np.array([[0, 1], [0, 2]], dtype=np.int64)
+    table = np.full((1, 4), -1, dtype=np.int64)
+    with pytest.raises(SimulationError, match="too narrow"):
+        fill_partner_table(pairs, table)
+
+
+def _remove_row_entries_reference(nbr, nbr_deg, holders, values):
+    """The ``logical_or.at`` row scrub the mask gather replaced:
+    delete ``values[i]`` from ``holders[i]``'s row."""
+    if holders.size == 0:
+        return
+    rows = np.unique(holders)
+    sub = nbr[rows]
+    drop = np.zeros(sub.shape, dtype=bool)
+    row_pos = np.searchsorted(rows, holders)
+    np.logical_or.at(drop, row_pos, sub[row_pos] == values[:, None])
+    order = np.argsort(drop, axis=1, kind="stable")
+    packed = np.take_along_axis(sub, order, axis=1)
+    new_deg = nbr_deg[rows] - drop.sum(axis=1)
+    tail = np.arange(nbr.shape[1])[None, :] >= new_deg[:, None]
+    packed[tail] = -1
+    nbr[rows] = packed
+    nbr_deg[rows] = new_deg
+
+
+def _symmetric_store(rng, capacity, width, seeds):
+    """Leecher rows with symmetric relations; ``seeds`` keep no rows
+    (counter-only), like the engine's seeds."""
+    store = PeerStore(capacity, num_pieces=8, nbr_width=width)
+    store.allocate(capacity)
+    store.is_seed[seeds] = True
+    for _ in range(capacity * width):
+        a, b = rng.choice(capacity, size=2, replace=False).tolist()
+        row_a = store.nbr[a, : store.nbr_deg[a]]
+        if b in row_a.tolist():
+            continue
+        if store.is_seed[a] and store.is_seed[b]:
+            continue
+        room_a = store.is_seed[a] or store.nbr_deg[a] < width
+        room_b = store.is_seed[b] or store.nbr_deg[b] < width
+        if not (room_a and room_b):
+            continue
+        for holder, value in ((a, b), (b, a)):
+            if store.is_seed[holder]:
+                store.nbr_deg[holder] += 1
+            else:
+                store.append_neighbor(holder, value)
+    return store
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_remove_row_entries_matches_logical_or_reference(seed):
+    rng = np.random.default_rng(seed)
+    capacity, width = 40, 6
+    seeds = rng.choice(capacity, size=4, replace=False)
+    store = _symmetric_store(rng, capacity, width, seeds)
+    gone_slots = rng.choice(capacity, size=int(rng.integers(0, 8)),
+                            replace=False)
+    gone = np.zeros(capacity + 1, dtype=bool)
+    gone[gone_slots] = True
+    # The (holder, value) list the callers used to build: a departing
+    # leecher's own row names its holders, a departing seed's are found
+    # by scanning every row.
+    holders, values = [], []
+    for v in gone_slots.tolist():
+        if store.is_seed[v]:
+            for h in range(capacity):
+                if v in store.nbr[h, : store.nbr_deg[h]].tolist():
+                    holders.append(h)
+                    values.append(v)
+        else:
+            for h in store.nbr[v, : store.nbr_deg[v]].tolist():
+                if not store.is_seed[h]:
+                    holders.append(h)
+                    values.append(v)
+    holders = np.array(holders, dtype=np.int64)
+    values = np.array(values, dtype=np.int64)
+    outside = ~gone[holders]
+    nbr_ref = store.nbr.copy()
+    deg_ref = store.nbr_deg.copy()
+    _remove_row_entries_reference(
+        nbr_ref, deg_ref, holders[outside], values[outside]
+    )
+    store.remove_row_entries(np.unique(holders[outside]), gone)
+    np.testing.assert_array_equal(store.nbr, nbr_ref)
+    np.testing.assert_array_equal(store.nbr_deg, deg_ref)
+
+
+def test_remove_row_entries_empty_and_mask_contract():
+    rng = np.random.default_rng(1)
+    store = _symmetric_store(rng, 12, 4, np.array([0]))
+    nbr = store.nbr.copy()
+    deg = store.nbr_deg.copy()
+    gone = np.zeros(13, dtype=bool)
+    gone[3] = True
+    store.remove_row_entries(np.zeros(0, dtype=np.int64), gone)
+    np.testing.assert_array_equal(store.nbr, nbr)
+    np.testing.assert_array_equal(store.nbr_deg, deg)
+    # Rows without a gone entry are left as they are.
+    store.remove_row_entries(np.arange(12), np.zeros(13, dtype=bool))
+    np.testing.assert_array_equal(store.nbr, nbr)
+    with pytest.raises(SimulationError, match="capacity"):
+        store.remove_row_entries(np.arange(2), np.zeros(12, dtype=bool))
+    spare_set = np.zeros(13, dtype=bool)
+    spare_set[-1] = True
+    with pytest.raises(SimulationError, match="capacity"):
+        store.remove_row_entries(np.arange(2), spare_set)
+
+
+def _grant_swarm():
+    config = SimConfig(
+        num_pieces=70,
+        max_conns=3,
+        ns_size=6,
+        arrival_process="none",
+        initial_leechers=40,
+        initial_distribution="uniform",
+        initial_fill=0.3,
+        num_seeds=1,
+        max_time=5.0,
+        seed=21,
+    )
+    swarm = SoaSwarm(config)
+    swarm.setup()
+    return swarm
+
+
+def _apply_grants_reference(swarm, r, p, time):
+    """The ``np.unique`` grant landing on plain copies of the state."""
+    store = swarm.store
+    num_pieces = swarm.config.num_pieces
+    bits = store.bits.copy()
+    counts = store.counts.copy()
+    first = store.first_piece_at.copy()
+    prelast = store.prelast_at.copy()
+    for row, piece in zip(r.tolist(), p.tolist()):
+        bits[row, piece >> 6] |= np.uint64(1) << np.uint64(piece & 63)
+    affected = np.unique(r)
+    before = counts[affected].copy()
+    np.add.at(counts, r, 1)
+    after = counts[affected]
+    first[affected[(before == 0) & (after > 0)]] = time
+    prelast[
+        affected[(before < num_pieces - 1) & (after >= num_pieces - 1)]
+    ] = time
+    replication = swarm.piece_counts + np.bincount(p, minlength=num_pieces)
+    return bits, counts, first, prelast, replication
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_apply_grants_rows_match_unique_reference(seed):
+    """Grant rows from a mark + flatnonzero equal ``np.unique(r)``:
+    every receiver's milestones and counts match the sorted version."""
+    swarm = _grant_swarm()
+    store = swarm.store
+    rng = np.random.default_rng(seed)
+    num_pieces = swarm.config.num_pieces
+    leech = np.flatnonzero(store.alive & ~store.is_seed)
+    store.counts[leech[:3]] = 0          # exercise the first-piece mark
+    store.bits[leech[:3]] = 0
+    swarm.piece_counts = unpack_rows(
+        store.bits[np.flatnonzero(store.alive)], num_pieces
+    ).sum(axis=0)
+    r_parts, p_parts = [], []
+    for row in leech.tolist():
+        held = unpack_rows(store.bits[row : row + 1], num_pieces)[0]
+        missing = np.flatnonzero(~held)
+        take = missing[rng.random(missing.size) < rng.random()]
+        r_parts.append(np.full(take.size, row, dtype=np.int64))
+        p_parts.append(take.astype(np.int64))
+    r = np.concatenate(r_parts)
+    p = np.concatenate(p_parts)
+    order = rng.permutation(r.size)
+    r, p = r[order], p[order]
+    expected = _apply_grants_reference(swarm, r, p, 3.0)
+    assert swarm._apply_grants(r, p, 3.0) == r.size
+    assert (store.first_piece_at == 3.0).any()
+    assert (store.prelast_at == 3.0).any()
+    for got, want in zip(
+        (store.bits, store.counts, store.first_piece_at,
+         store.prelast_at, swarm.piece_counts),
+        expected,
+    ):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_apply_grants_empty_is_a_no_op():
+    swarm = _grant_swarm()
+    store = swarm.store
+    counts = store.counts.copy()
+    empty = np.zeros(0, dtype=np.int64)
+    assert swarm._apply_grants(empty, empty, 1.0) == 0
+    np.testing.assert_array_equal(store.counts, counts)
 
 
 # ----------------------------------------------------------------------
