@@ -2,8 +2,8 @@
 
 The subsystem has four layers (see ``docs/CHECKPOINT.md``):
 
-* :mod:`repro.checkpoint.format` — the on-disk container (magic,
-  version, CRC32, atomic write-rename);
+* :mod:`repro.checkpoint.format` — the on-disk container (JSON header
+  plus binary array section, CRC32, atomic write-rename);
 * :mod:`repro.checkpoint.schema` — snapshot schema v1: full simulation
   state at a round boundary (RNG streams, engine queue, peers, tracker,
   potential-set cache, metrics, fault injector);

@@ -30,20 +30,27 @@ order, which lets the container serialize with ``sort_keys=True``.
 
 The soa backend (:mod:`repro.sim.soa`) writes a second document flavor
 under the same schema version, marked with a top-level
-``"backend": "soa"``: per-slot arrays for every alive slot plus the
+``"backend": "soa"``: numpy columns for every alive slot plus the
 free-list order, which together rebuild the slot layout exactly (slot
 indices feed the backend's RNG-consuming shuffles, so layout is part of
-the deterministic state).  :func:`restore_swarm` dispatches on the
-marker; documents without it are object-backend snapshots.
+the deterministic state).  Its completed downloads are columns too.
+The container stores every numpy leaf in its binary section; restore
+accepts the same leaves as plain lists (what version-1 files hold).
+:func:`restore_swarm` dispatches on the marker; documents without it
+are object-backend snapshots.
 
-Schema changes MUST bump :data:`SCHEMA_VERSION`; the golden-format test
-(`tests/checkpoint/test_golden_format.py`) fails loudly when the
-emitted document drifts from the committed v1 fixture.
+Schema changes MUST bump :data:`SCHEMA_VERSION`; the golden-format tests
+(`tests/checkpoint/test_golden_format*.py`) fail loudly when the
+emitted documents drift from the committed fixtures.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import gc
+import math
+from itertools import chain
+from operator import attrgetter
+from typing import TYPE_CHECKING, List
 
 import numpy as np
 
@@ -58,6 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids import cycle
 
 __all__ = [
     "SCHEMA_VERSION",
+    "STORE_COLUMNS",
+    "WORD_COLUMNS",
+    "store_columns",
     "snapshot_swarm",
     "snapshot_soa_swarm",
     "restore_swarm",
@@ -66,6 +76,39 @@ __all__ = [
 #: Version of the snapshot document layout (independent of the on-disk
 #: container version in ``repro.checkpoint.format``).
 SCHEMA_VERSION = 1
+
+#: The per-peer columns of a soa ``store`` block and their dtypes.  A
+#: migration row batch of the sharded backend is exactly these columns.
+STORE_COLUMNS = {
+    "peer_id": np.int64,
+    "is_seed": np.bool_,
+    "shaken": np.bool_,
+    "counts": np.int64,
+    "bits": np.uint64,
+    "joined_at": np.float64,
+    "seed_until": np.float64,
+    "first_piece_at": np.float64,
+    "prelast_at": np.float64,
+    "shaken_at": np.float64,
+    "upload_capacity": np.int64,
+    "seeded": np.uint64,
+}
+WORD_COLUMNS = ("bits", "seeded")
+
+
+def store_columns(block: dict, words: int) -> dict:
+    """Owned, typed copies of a block's :data:`STORE_COLUMNS`.
+
+    ``block`` holds arrays or, from a version-1 file, lists (``None``
+    for NaN; bit words as plain ints) — both decode the same way.
+    """
+    columns = {
+        name: np.array(block[name], dtype=dtype)
+        for name, dtype in STORE_COLUMNS.items()
+    }
+    for name in WORD_COLUMNS:
+        columns[name] = columns[name].reshape(-1, words)
+    return columns
 
 
 def _num(value):
@@ -180,7 +223,94 @@ def _restore_peer(doc: dict, num_pieces: int) -> Peer:
 # ----------------------------------------------------------------------
 # Metrics
 # ----------------------------------------------------------------------
-def _snapshot_metrics(metrics: MetricsCollector) -> dict:
+#: Completed-download scalar columns: name, record attribute, dtype.
+#: NaN (float columns) and -1 (``upload_capacity``) stand for None.
+_COMPLETED_COLUMNS = (
+    ("peer_id", "peer_id", np.int64),
+    ("joined_at", "joined_at", np.float64),
+    ("completed_at", "completed_at", np.float64),
+    ("shaken", "shaken", np.bool_),
+    ("upload_capacity", "upload_capacity", np.int64),
+    ("stats_joined_at", "stats.joined_at", np.float64),
+    ("stats_completed_at", "stats.completed_at", np.float64),
+    ("shaken_at", "stats.shaken_at", np.float64),
+)
+#: PeerStats lists, in constructor order, stored as offsets + values.
+_RAGGED_COLUMNS = (
+    "piece_times", "piece_log", "potential_series", "connection_series",
+)
+
+
+def _completed_columns(completed: List[CompletedDownload]) -> dict:
+    columns = {}
+    for name, attr, dtype in _COMPLETED_COLUMNS:
+        values = list(map(attrgetter(attr), completed))
+        if name == "upload_capacity":
+            values = [-1 if v is None else v for v in values]
+        columns[name] = np.array(values, dtype=dtype)  # float: None → NaN
+    for name in _RAGGED_COLUMNS:
+        lists = list(map(attrgetter(f"stats.{name}"), completed))
+        columns[name] = {
+            "offsets": np.cumsum([0, *map(len, lists)], dtype=np.int64),
+            # piece_times are floats; the other lists hold (time, int)
+            # pairs, stored as float rows (the ints are small counts).
+            "values": np.array(
+                list(chain.from_iterable(lists)), dtype=np.float64
+            ),
+        }
+    return columns
+
+
+def _completed_from_columns(doc: dict) -> List[CompletedDownload]:
+    # Bulk-built, acyclic records: pausing the cyclic collector spares
+    # the full-heap collections tens of thousands of them would trigger.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        cols = {
+            name: np.asarray(doc[name], dtype=dtype).tolist()
+            for name, _, dtype in _COMPLETED_COLUMNS
+        }
+        for name in ("stats_completed_at", "shaken_at"):
+            cols[name] = [None if math.isnan(v) else v for v in cols[name]]
+        capacity = [None if v < 0 else v for v in cols["upload_capacity"]]
+        ragged = []
+        for name in _RAGGED_COLUMNS:
+            bounds = np.asarray(doc[name]["offsets"], np.int64).tolist()
+            values = np.asarray(doc[name]["values"], np.float64).tolist()
+            if name != "piece_times":
+                values = [(t, int(v)) for t, v in values]
+            ragged.append([values[a:b] for a, b in zip(bounds, bounds[1:])])
+        stats = map(
+            PeerStats, cols["stats_joined_at"], cols["stats_completed_at"],
+            *ragged, cols["shaken_at"],
+        )
+        return list(map(
+            CompletedDownload, cols["peer_id"], cols["joined_at"],
+            cols["completed_at"], stats, cols["shaken"], capacity,
+        ))
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _snapshot_metrics(metrics: MetricsCollector, columns: bool = False) -> dict:
+    """The collector's state; ``columns`` stores completions as arrays."""
+    completed = (
+        _completed_columns(metrics.completed)
+        if columns
+        else [
+            {
+                "peer_id": c.peer_id,
+                "joined_at": _num(c.joined_at),
+                "completed_at": _num(c.completed_at),
+                "stats": _snapshot_stats(c.stats),
+                "shaken": c.shaken,
+                "upload_capacity": _num(c.upload_capacity),
+            }
+            for c in metrics.completed
+        ]
+    )
     return {
         "max_conns": metrics.max_conns,
         "entropy_every": metrics.entropy_every,
@@ -194,17 +324,7 @@ def _snapshot_metrics(metrics: MetricsCollector) -> dict:
         "occupancy_sums": [float(v) for v in metrics._occupancy_sums],
         "occupancy_rounds": metrics._occupancy_rounds,
         "expected_total_rounds": metrics._expected_total_rounds,
-        "completed": [
-            {
-                "peer_id": c.peer_id,
-                "joined_at": _num(c.joined_at),
-                "completed_at": _num(c.completed_at),
-                "stats": _snapshot_stats(c.stats),
-                "shaken": c.shaken,
-                "upload_capacity": _num(c.upload_capacity),
-            }
-            for c in metrics.completed
-        ],
+        "completed": completed,
     }
 
 
@@ -233,6 +353,9 @@ def _restore_metrics(doc: dict) -> MetricsCollector:
         if doc["expected_total_rounds"] is None
         else int(doc["expected_total_rounds"])
     )
+    if isinstance(doc["completed"], dict):
+        metrics.completed = _completed_from_columns(doc["completed"])
+        return metrics
     metrics.completed = [
         CompletedDownload(
             peer_id=int(c["peer_id"]),
@@ -252,7 +375,90 @@ def _restore_metrics(doc: dict) -> MetricsCollector:
 
 
 # ----------------------------------------------------------------------
-# Swarm (top level)
+# Sections both engines share
+# ----------------------------------------------------------------------
+_CONNECTION_STATS = ("survived", "dropped", "attempts", "formed")
+
+
+def _snapshot_common(swarm, columns: bool) -> dict:
+    """The document sections the object and soa engines write alike."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "config": swarm.config.to_dict(),
+        "swarm": {
+            "rng": _sanitize_rng_state(swarm.rng.bit_generator.state),
+            "rounds": swarm._rounds,
+            "setup_done": swarm._setup_done,
+            "seed_upload_count": swarm.seed_upload_count,
+            "checkpoints_written": swarm.checkpoints_written,
+            "connection_stats": {
+                key: getattr(swarm.connection_stats, key)
+                for key in _CONNECTION_STATS
+            },
+            "instrumented_start_empty": swarm.instrumented_start_empty,
+            "rarity_view": swarm.rarity_view,
+        },
+        "engine": swarm.engine.snapshot_state(),
+        "metrics": _snapshot_metrics(swarm.metrics, columns),
+        "faults": (
+            None
+            if swarm.fault_injector is None
+            else swarm.fault_injector.snapshot_state()
+        ),
+    }
+
+
+def _restore_common(document: dict, swarm_cls, **swarm_kwargs):
+    """A ``swarm_cls`` built from the document's config, metrics and
+    fault plan, with its RNG streams and engine queue restored."""
+    from repro.faults.plan import FaultPlan
+
+    sw = document["swarm"]
+    faults_doc = document["faults"]
+    swarm = swarm_cls(
+        SimConfig.from_dict(document["config"]),
+        instrumented_start_empty=bool(sw["instrumented_start_empty"]),
+        rarity_view=str(sw["rarity_view"]),
+        metrics=_restore_metrics(document["metrics"]),
+        faults=(
+            None if faults_doc is None
+            else FaultPlan.from_dict(faults_doc["plan"])
+        ),
+        **swarm_kwargs,
+    )
+    # RNG streams first: the constructor performs no draws, so the
+    # restored position is exactly the snapshot position.
+    swarm.rng.bit_generator.state = sw["rng"]
+    if swarm.fault_injector is not None:
+        swarm.fault_injector.restore_state(faults_doc)
+    swarm.engine.restore_state(document["engine"])
+    return swarm
+
+
+def _restore_counters(swarm, sw: dict) -> None:
+    """Round counters, replication counts and connection statistics."""
+    for key in _CONNECTION_STATS:
+        setattr(swarm.connection_stats, key, int(sw["connection_stats"][key]))
+    swarm.piece_counts = np.array(sw["piece_counts"], dtype=np.int64)
+    swarm.seed_upload_count = int(sw["seed_upload_count"])
+    swarm.checkpoints_written = int(sw["checkpoints_written"])
+    swarm._rounds = int(sw["rounds"])
+    swarm._setup_done = bool(sw["setup_done"])
+    swarm.resumed_from_round = swarm._rounds
+
+
+def _sanitize_rng_state(state: dict) -> dict:
+    """numpy's PCG64 state dict, with any numpy scalars collapsed."""
+    return {
+        "bit_generator": state["bit_generator"],
+        "state": {key: _num(value) for key, value in state["state"].items()},
+        "has_uint32": _num(state["has_uint32"]),
+        "uinteger": _num(state["uinteger"]),
+    }
+
+
+# ----------------------------------------------------------------------
+# Swarm (object engine)
 # ----------------------------------------------------------------------
 def snapshot_swarm(swarm: "Swarm") -> dict:
     """Full snapshot document for ``swarm`` (schema v1).
@@ -270,33 +476,16 @@ def snapshot_swarm(swarm: "Swarm") -> dict:
         for peer in swarm.instrumented_peers
         if peer.peer_id not in alive_ids
     ]
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "config": swarm.config.to_dict(),
-        "swarm": {
-            "rng": _sanitize_rng_state(swarm.rng.bit_generator.state),
-            "rounds": swarm._rounds,
-            "setup_done": swarm._setup_done,
-            "seed_upload_count": swarm.seed_upload_count,
-            "checkpoints_written": swarm.checkpoints_written,
-            "piece_counts": [int(c) for c in swarm.piece_counts],
-            "connection_stats": {
-                "survived": swarm.connection_stats.survived,
-                "dropped": swarm.connection_stats.dropped,
-                "attempts": swarm.connection_stats.attempts,
-                "formed": swarm.connection_stats.formed,
-            },
-            "instrument_first": swarm.instrument_first,
-            "instrumented_avoid_seeds": swarm.instrumented_avoid_seeds,
-            "instrumented_start_empty": swarm.instrumented_start_empty,
-            "rarity_view": swarm.rarity_view,
-            # List order matters: _spawn_peer appends in instrumentation
-            # order and the result bundle exposes the list as-is.
-            "instrumented_ids": [
-                p.peer_id for p in swarm.instrumented_peers
-            ],
-        },
-        "engine": swarm.engine.snapshot_state(),
+    document = _snapshot_common(swarm, columns=False)
+    document["swarm"].update({
+        "piece_counts": [int(c) for c in swarm.piece_counts],
+        "instrument_first": swarm.instrument_first,
+        "instrumented_avoid_seeds": swarm.instrumented_avoid_seeds,
+        # List order matters: _spawn_peer appends in instrumentation
+        # order and the result bundle exposes the list as-is.
+        "instrumented_ids": [p.peer_id for p in swarm.instrumented_peers],
+    })
+    document.update({
         "tracker": {
             "next_id": tracker._next_id,
             "bootstrap_trapped": sorted(tracker._bootstrap_trapped),
@@ -304,7 +493,6 @@ def snapshot_swarm(swarm: "Swarm") -> dict:
         },
         "peers": alive,
         "departed_instrumented": departed,
-        "metrics": _snapshot_metrics(swarm.metrics),
         "potential": {
             "cache": [
                 [pid, list(members)]
@@ -312,104 +500,117 @@ def snapshot_swarm(swarm: "Swarm") -> dict:
             ],
             "dirty": sorted(swarm._potential_sets._dirty),
         },
-        "faults": (
-            None
-            if swarm.fault_injector is None
-            else swarm.fault_injector.snapshot_state()
-        ),
+    })
+    return document
+
+
+def _restore_object_swarm(document: dict, **swarm_kwargs) -> "Swarm":
+    from repro.sim.swarm import Swarm
+
+    sw = document["swarm"]
+    swarm = _restore_common(
+        document, Swarm,
+        instrument_first=int(sw["instrument_first"]),
+        instrumented_avoid_seeds=bool(sw["instrumented_avoid_seeds"]),
+        **swarm_kwargs,
+    )
+    num_pieces = swarm.config.num_pieces
+
+    # Tracker registry: insert in ascending-id order (the snapshot
+    # stores peers that way) so announce candidate iteration matches
+    # the uninterrupted run's insertion-ordered dict.
+    tracker = swarm.tracker
+    tracker._peers = {}
+    for peer_doc in document["peers"]:
+        peer = _restore_peer(peer_doc, num_pieces)
+        tracker._peers[peer.peer_id] = peer
+    tracker._next_id = int(document["tracker"]["next_id"])
+    tracker._bootstrap_trapped = {
+        int(pid) for pid in document["tracker"]["bootstrap_trapped"]
     }
+    tracker.population_log = [
+        (float(t), int(le), int(se))
+        for t, le, se in document["tracker"]["population_log"]
+    ]
+
+    # Instrumented list: alive entries must alias the tracker's peer
+    # objects (they keep accumulating stats); departed ones are
+    # rebuilt from their archived snapshots, preserving list order.
+    departed = {
+        doc["peer_id"]: doc for doc in document["departed_instrumented"]
+    }
+    swarm.instrumented_peers = [
+        tracker._peers[pid]
+        if pid in tracker._peers
+        else _restore_peer(departed[pid], num_pieces)
+        for pid in (int(p) for p in sw["instrumented_ids"])
+    ]
+
+    # Mutate the cache containers IN PLACE: the tracker's neighbor
+    # listener is the bound method ``_dirty.add`` of the original
+    # set object — rebinding the attribute to a fresh set would
+    # orphan the listener and silently drop invalidations.
+    cache = swarm._potential_sets._cache
+    cache.clear()
+    cache.update(
+        (int(pid), [int(m) for m in members])
+        for pid, members in document["potential"]["cache"]
+    )
+    dirty = swarm._potential_sets._dirty
+    dirty.clear()
+    dirty.update(int(pid) for pid in document["potential"]["dirty"])
+    _restore_counters(swarm, sw)
+    return swarm
 
 
 # ----------------------------------------------------------------------
 # SoA swarm (array backend)
 # ----------------------------------------------------------------------
-def _opt(value):
-    """NaN → None (the container's canonical JSON forbids NaN)."""
-    value = float(value)
-    return None if np.isnan(value) else value
-
-
-def _nan_column(values) -> np.ndarray:
-    return np.array(
-        [np.nan if v is None else float(v) for v in values], dtype=np.float64
-    )
-
-
 def snapshot_soa_swarm(swarm) -> dict:
     """Snapshot document for a :class:`~repro.sim.soa.SoaSwarm`.
 
     Same container and schema version as the object document, marked
     with a top-level ``"backend": "soa"`` for :func:`restore_swarm`'s
     dispatch.  Peer state is stored for alive slots only (ascending
-    slot order); free slots are fully reset on allocation, so alive
-    rows plus the free-list order reconstruct the store exactly.
+    slot order) as numpy columns; free slots are fully reset on
+    allocation, so alive rows plus the free-list order reconstruct the
+    store exactly.  Every array is a copy, never a view of live state.
     """
     store = swarm.store
     slots = np.flatnonzero(store.alive)
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "backend": "soa",
-        "config": swarm.config.to_dict(),
-        "swarm": {
-            "rng": _sanitize_rng_state(swarm.rng.bit_generator.state),
-            "rounds": swarm._rounds,
-            "setup_done": swarm._setup_done,
-            "seed_upload_count": swarm.seed_upload_count,
-            "checkpoints_written": swarm.checkpoints_written,
-            "piece_counts": [int(c) for c in swarm.piece_counts],
-            "connection_stats": {
-                "survived": swarm.connection_stats.survived,
-                "dropped": swarm.connection_stats.dropped,
-                "attempts": swarm.connection_stats.attempts,
-                "formed": swarm.connection_stats.formed,
-            },
-            "instrumented_start_empty": swarm.instrumented_start_empty,
-            "rarity_view": swarm.rarity_view,
-            "next_id": swarm._next_id,
-            "n_leech": swarm._n_leech,
-            "n_seeds": swarm._n_seeds,
-            "population_log": _triples(swarm._population_log),
-            "pending_announce": [int(s) for s in swarm._pending_announce],
-            # Row order is deterministic state: maintenance and exchange
-            # iterate pairs in storage order.
-            "pairs": [[int(a), int(b)] for a, b in swarm._pairs],
-        },
-        "engine": swarm.engine.snapshot_state(),
-        "store": {
-            "capacity": store.capacity,
-            "nbr_width": store.nbr_width,
-            # LIFO pop order — the next allocation must hand out the
-            # same slots the uninterrupted run would have.
-            "free": [int(s) for s in store.free],
-            "slots": [int(s) for s in slots],
-            "peer_id": [int(v) for v in store.peer_id[slots]],
-            "is_seed": [bool(v) for v in store.is_seed[slots]],
-            "shaken": [bool(v) for v in store.shaken[slots]],
-            "counts": [int(v) for v in store.counts[slots]],
-            "bits": [[int(w) for w in row] for row in store.bits[slots]],
-            "joined_at": [float(v) for v in store.joined_at[slots]],
-            "seed_until": [_opt(v) for v in store.seed_until[slots]],
-            "first_piece_at": [_opt(v) for v in store.first_piece_at[slots]],
-            "prelast_at": [_opt(v) for v in store.prelast_at[slots]],
-            "shaken_at": [_opt(v) for v in store.shaken_at[slots]],
-            "upload_capacity": [
-                int(v) for v in store.upload_capacity[slots]
-            ],
-            # Neighbor rows trimmed to their fill; in-row order is the
-            # append order the refill logic depends on.
-            "nbr": [
-                [int(v) for v in store.nbr[s, : store.nbr_deg[s]]]
-                for s in slots
-            ],
-            "seeded": [[int(w) for w in row] for row in store.seeded[slots]],
-        },
-        "metrics": _snapshot_metrics(swarm.metrics),
-        "faults": (
-            None
-            if swarm.fault_injector is None
-            else swarm.fault_injector.snapshot_state()
-        ),
-    }
+    deg = store.nbr_deg[slots]
+    fill = np.minimum(deg, store.nbr_width)
+    block = {name: getattr(store, name)[slots] for name in STORE_COLUMNS}
+    block.update({
+        "capacity": store.capacity,
+        "nbr_width": store.nbr_width,
+        # LIFO pop order — the next allocation must hand out the
+        # same slots the uninterrupted run would have.
+        "free": np.array(store.free, dtype=np.int64),
+        "slots": slots,
+        # A seed's degree is a relation counter that may exceed the
+        # row width, so it is stored verbatim; each row keeps its
+        # first min(degree, width) entries, flattened, in the append
+        # order the refill logic depends on.
+        "nbr_deg": deg,
+        "nbr": store.nbr[slots][
+            np.arange(store.nbr_width)[None, :] < fill[:, None]
+        ],
+    })
+    document = _snapshot_common(swarm, columns=True)
+    document["swarm"].update({
+        "piece_counts": swarm.piece_counts.astype(np.int64),
+        "next_id": swarm._next_id,
+        "n_leech": swarm._n_leech,
+        "n_seeds": swarm._n_seeds,
+        "population_log": _triples(swarm._population_log),
+        "pending_announce": [int(s) for s in swarm._pending_announce],
+        # Row order is deterministic state: maintenance and exchange
+        # iterate pairs in storage order.
+        "pairs": swarm._pairs.astype(np.int64),
+    })
+    document.update({"backend": "soa", "store": block})
+    return document
 
 
 def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
@@ -419,71 +620,36 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
     shape into a :class:`~repro.sim.sharded.ShardEngine` (an ``SoaSwarm``
     subclass with no extra snapshot state of its own).
     """
-    from repro.faults.plan import FaultPlan
     from repro.sim.soa import PeerStore, SoaSwarm
 
-    if swarm_cls is None:
-        swarm_cls = SoaSwarm
-    config = SimConfig.from_dict(document["config"])
-    sw = document["swarm"]
-    faults_doc = document["faults"]
-    plan = (
-        None if faults_doc is None else FaultPlan.from_dict(faults_doc["plan"])
+    swarm = _restore_common(
+        document, swarm_cls or SoaSwarm, backend="soa", **swarm_kwargs
     )
-    metrics = _restore_metrics(document["metrics"])
-
-    swarm = swarm_cls(
-        config,
-        backend="soa",
-        instrumented_start_empty=bool(sw["instrumented_start_empty"]),
-        rarity_view=str(sw["rarity_view"]),
-        metrics=metrics,
-        faults=plan,
-        **swarm_kwargs,
-    )
-    swarm.rng.bit_generator.state = sw["rng"]
-    if swarm.fault_injector is not None:
-        swarm.fault_injector.restore_state(faults_doc)
-    swarm.engine.restore_state(document["engine"])
-
     st = document["store"]
-    store = PeerStore(
-        int(st["capacity"]), config.num_pieces, int(st["nbr_width"])
-    )
-    store.free = [int(s) for s in st["free"]]
+    width = int(st["nbr_width"])
+    store = PeerStore(int(st["capacity"]), swarm.config.num_pieces, width)
+    store.free = np.asarray(st["free"], dtype=np.int64).tolist()
     slots = np.asarray(st["slots"], dtype=np.int64)
-    if slots.size:
-        store.alive[slots] = True
-        store.peer_id[slots] = np.asarray(st["peer_id"], dtype=np.int64)
-        store.is_seed[slots] = np.asarray(st["is_seed"], dtype=bool)
-        store.shaken[slots] = np.asarray(st["shaken"], dtype=bool)
-        store.counts[slots] = np.asarray(st["counts"], dtype=np.int64)
-        store.bits[slots] = np.array(
-            [[int(w) for w in row] for row in st["bits"]], dtype=np.uint64
-        )
-        store.joined_at[slots] = np.asarray(
-            st["joined_at"], dtype=np.float64
-        )
-        store.seed_until[slots] = _nan_column(st["seed_until"])
-        store.first_piece_at[slots] = _nan_column(st["first_piece_at"])
-        store.prelast_at[slots] = _nan_column(st["prelast_at"])
-        store.shaken_at[slots] = _nan_column(st["shaken_at"])
-        store.upload_capacity[slots] = np.asarray(
-            st["upload_capacity"], dtype=np.int64
-        )
-        for slot, row in zip(slots, st["nbr"]):
-            if row:
-                store.nbr[slot, : len(row)] = [int(v) for v in row]
-            store.nbr_deg[slot] = len(row)
-        store.seeded[slots] = np.array(
-            [[int(w) for w in row] for row in st["seeded"]], dtype=np.uint64
-        )
+    store.alive[slots] = True
+    for name, column in store_columns(st, store.words).items():
+        getattr(store, name)[slots] = column
+    if "nbr_deg" in st:
+        deg = np.asarray(st["nbr_deg"], dtype=np.int64)
+        values = np.asarray(st["nbr"], dtype=np.int64)
+    else:  # version-1 soa document: one trimmed list per row
+        deg = np.array([len(row) for row in st["nbr"]], dtype=np.int64)
+        values = np.array(list(chain.from_iterable(st["nbr"])), np.int64)
+    rows = np.full((slots.size, width), -1, dtype=np.int64)
+    rows[np.arange(width)[None, :] < np.minimum(deg, width)[:, None]] = values
+    store.nbr[slots] = rows
+    store.nbr_deg[slots] = deg
     swarm.store = store
 
-    swarm._pairs = np.asarray(sw["pairs"], dtype=np.int64).reshape(-1, 2)
-    swarm._id_to_slot = {
-        int(store.peer_id[s]): int(s) for s in slots
-    }
+    sw = document["swarm"]
+    swarm._pairs = np.array(sw["pairs"], dtype=np.int64).reshape(-1, 2)
+    swarm._id_to_slot = dict(
+        zip(store.peer_id[slots].tolist(), slots.tolist())
+    )
     swarm._next_id = int(sw["next_id"])
     swarm._n_leech = int(sw["n_leech"])
     swarm._n_seeds = int(sw["n_seeds"])
@@ -492,28 +658,8 @@ def _restore_soa_swarm(document: dict, swarm_cls=None, **swarm_kwargs):
     ]
     swarm._pending_announce = [int(s) for s in sw["pending_announce"]]
     swarm._alive_dirty = True
-    swarm.piece_counts = np.asarray(sw["piece_counts"], dtype=np.int64)
-    stats = sw["connection_stats"]
-    swarm.connection_stats.survived = int(stats["survived"])
-    swarm.connection_stats.dropped = int(stats["dropped"])
-    swarm.connection_stats.attempts = int(stats["attempts"])
-    swarm.connection_stats.formed = int(stats["formed"])
-    swarm.seed_upload_count = int(sw["seed_upload_count"])
-    swarm.checkpoints_written = int(sw["checkpoints_written"])
-    swarm._rounds = int(sw["rounds"])
-    swarm._setup_done = bool(sw["setup_done"])
-    swarm.resumed_from_round = swarm._rounds
+    _restore_counters(swarm, sw)
     return swarm
-
-
-def _sanitize_rng_state(state: dict) -> dict:
-    """numpy's PCG64 state dict, with any numpy scalars collapsed."""
-    return {
-        "bit_generator": state["bit_generator"],
-        "state": {key: _num(value) for key, value in state["state"].items()},
-        "has_uint32": _num(state["has_uint32"]),
-        "uinteger": _num(state["uinteger"]),
-    }
 
 
 def restore_swarm(document: dict, **swarm_kwargs) -> "Swarm":
@@ -526,122 +672,23 @@ def restore_swarm(document: dict, **swarm_kwargs) -> "Swarm":
     ``swarm_kwargs`` may carry run-control options that are *not* part
     of the snapshot (``profile``, ``checkpoint_path``,
     ``checkpoint_every``) — simulation-defining options come from the
-    document itself.
+    document itself.  Soa and sharded documents go through
+    :func:`~repro.sim.sharded.restore_sharded_swarm`, which resumes a
+    soa document as the soa engine unless ``shards`` re-shards it.
     """
-    from repro.faults.plan import FaultPlan
-    from repro.sim.swarm import Swarm
-
     version = document.get("schema_version")
     if version != SCHEMA_VERSION:
         raise CheckpointError(
             f"snapshot schema version {version!r} is not supported "
             f"(this build reads version {SCHEMA_VERSION})"
         )
-    backend = document.get("backend")
-    if backend == "soa" and "shards" not in swarm_kwargs:
-        try:
-            return _restore_soa_swarm(document, **swarm_kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"snapshot document is structurally invalid: {exc!r}"
-            )
-    if backend in ("soa", "sharded"):
-        # Given ``shards``, a soa document (what a ``shards=1`` run
-        # writes) resumes as soa or is re-sharded onto the workers.
-        from repro.sim.sharded import restore_sharded_swarm
-
-        try:
-            return restore_sharded_swarm(document, **swarm_kwargs)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"snapshot document is structurally invalid: {exc!r}"
-            )
     try:
-        config = SimConfig.from_dict(document["config"])
-        sw = document["swarm"]
-        faults_doc = document["faults"]
-        plan = (
-            None
-            if faults_doc is None
-            else FaultPlan.from_dict(faults_doc["plan"])
-        )
-        metrics = _restore_metrics(document["metrics"])
+        if document.get("backend") in ("soa", "sharded"):
+            from repro.sim.sharded import restore_sharded_swarm
 
-        swarm = Swarm(
-            config,
-            instrument_first=int(sw["instrument_first"]),
-            instrumented_avoid_seeds=bool(sw["instrumented_avoid_seeds"]),
-            instrumented_start_empty=bool(sw["instrumented_start_empty"]),
-            rarity_view=str(sw["rarity_view"]),
-            metrics=metrics,
-            faults=plan,
-            **swarm_kwargs,
-        )
-
-        # RNG streams first: the constructor performs no draws, so the
-        # restored position is exactly the snapshot position.
-        swarm.rng.bit_generator.state = sw["rng"]
-        if swarm.fault_injector is not None:
-            swarm.fault_injector.restore_state(faults_doc)
-
-        swarm.engine.restore_state(document["engine"])
-
-        # Tracker registry: insert in ascending-id order (the snapshot
-        # stores peers that way) so announce candidate iteration matches
-        # the uninterrupted run's insertion-ordered dict.
-        tracker = swarm.tracker
-        tracker._peers = {}
-        for peer_doc in document["peers"]:
-            peer = _restore_peer(peer_doc, config.num_pieces)
-            tracker._peers[peer.peer_id] = peer
-        tracker._next_id = int(document["tracker"]["next_id"])
-        tracker._bootstrap_trapped = {
-            int(pid) for pid in document["tracker"]["bootstrap_trapped"]
-        }
-        tracker.population_log = [
-            (float(t), int(le), int(se))
-            for t, le, se in document["tracker"]["population_log"]
-        ]
-
-        # Instrumented list: alive entries must alias the tracker's peer
-        # objects (they keep accumulating stats); departed ones are
-        # rebuilt from their archived snapshots, preserving list order.
-        departed = {
-            doc["peer_id"]: doc for doc in document["departed_instrumented"]
-        }
-        swarm.instrumented_peers = [
-            tracker._peers[pid]
-            if pid in tracker._peers
-            else _restore_peer(departed[pid], config.num_pieces)
-            for pid in (int(p) for p in sw["instrumented_ids"])
-        ]
-
-        swarm.piece_counts = np.asarray(sw["piece_counts"], dtype=np.int64)
-        # Mutate the cache containers IN PLACE: the tracker's neighbor
-        # listener is the bound method ``_dirty.add`` of the original
-        # set object — rebinding the attribute to a fresh set would
-        # orphan the listener and silently drop invalidations.
-        cache = swarm._potential_sets._cache
-        cache.clear()
-        cache.update(
-            (int(pid), [int(m) for m in members])
-            for pid, members in document["potential"]["cache"]
-        )
-        dirty = swarm._potential_sets._dirty
-        dirty.clear()
-        dirty.update(int(pid) for pid in document["potential"]["dirty"])
-        stats = sw["connection_stats"]
-        swarm.connection_stats.survived = int(stats["survived"])
-        swarm.connection_stats.dropped = int(stats["dropped"])
-        swarm.connection_stats.attempts = int(stats["attempts"])
-        swarm.connection_stats.formed = int(stats["formed"])
-        swarm.seed_upload_count = int(sw["seed_upload_count"])
-        swarm.checkpoints_written = int(sw["checkpoints_written"])
-        swarm._rounds = int(sw["rounds"])
-        swarm._setup_done = bool(sw["setup_done"])
-        swarm.resumed_from_round = swarm._rounds
+            return restore_sharded_swarm(document, **swarm_kwargs)
+        return _restore_object_swarm(document, **swarm_kwargs)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(
             f"snapshot document is structurally invalid: {exc!r}"
         )
-    return swarm

@@ -49,6 +49,12 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checkpoint.format import write_checkpoint
+from repro.checkpoint.schema import (
+    SCHEMA_VERSION, STORE_COLUMNS, _restore_metrics, _restore_soa_swarm,
+    _sanitize_rng_state, _snapshot_metrics, _triples, snapshot_soa_swarm,
+    store_columns,
+)
 from repro.errors import CheckpointError, ParameterError, SimulationError
 from repro.faults.plan import FaultPlan, FaultStats
 from repro.runtime.profiler import SHARD_COORD_STAGES, RoundProfiler
@@ -68,32 +74,6 @@ __all__ = ["ShardEngine", "ShardedSwarm", "restore_sharded_swarm", "SHARD_NS"]
 #: path, so no shard shares a stream with the tracker or the faults).
 SHARD_NS = 0x5AAD
 
-#: Columns a peer carries across a shard boundary — exactly the
-#: per-peer columns of the checkpoint store block.  Neighbor rows and
-#: trading pairs are intentionally absent: migration severs relations
-#: and the migrant re-announces at its destination, like a churn
-#: re-arrival.
-MIGRATION_COLUMNS = (
-    "peer_id",
-    "is_seed",
-    "shaken",
-    "counts",
-    "bits",
-    "joined_at",
-    "seed_until",
-    "first_piece_at",
-    "prelast_at",
-    "shaken_at",
-    "upload_capacity",
-    "seeded",
-)
-
-_FLOAT_COLUMNS = ("joined_at", "seed_until", "first_piece_at",
-                  "prelast_at", "shaken_at")
-_WORD_COLUMNS = ("bits", "seeded")
-_BOOL_COLUMNS = ("is_seed", "shaken")
-
-
 class _WorkerDied(Exception):
     """A shard worker process died mid-protocol (crash or SIGKILL)."""
 
@@ -110,6 +90,11 @@ def _split(total: int, shards: int, index: int) -> int:
 # ----------------------------------------------------------------------
 # Migration row helpers
 # ----------------------------------------------------------------------
+# A peer crosses a shard boundary as one row of the checkpoint store
+# block's columns (STORE_COLUMNS), so pending rows are checkpointed in
+# the store's encoding.  Neighbor rows and trading pairs are absent on
+# purpose: migration severs relations and the migrant re-announces at
+# its destination, like a churn re-arrival.
 def _concat_rows(parts: List[dict]) -> Optional[dict]:
     parts = [p for p in parts if p is not None and p["peer_id"].size]
     if not parts:
@@ -118,63 +103,21 @@ def _concat_rows(parts: List[dict]) -> Optional[dict]:
         return parts[0]
     return {
         name: np.concatenate([p[name] for p in parts])
-        for name in MIGRATION_COLUMNS
+        for name in STORE_COLUMNS
     }
 
 
-def _rows_to_json(rows: Optional[dict]) -> Optional[dict]:
-    """Checkpoint (JSON-safe) encoding of one migration row batch."""
-    if rows is None:
+def _rows_from_block(block: Optional[dict], words: int) -> Optional[dict]:
+    """Migration rows of a store block or checkpointed row batch."""
+    if block is None or not len(block["peer_id"]):
         return None
-    from repro.checkpoint.schema import _opt
-
-    doc: dict = {}
-    for name in MIGRATION_COLUMNS:
-        column = rows[name]
-        if name in _WORD_COLUMNS:
-            doc[name] = [[int(w) for w in row] for row in column]
-        elif name in _BOOL_COLUMNS:
-            doc[name] = [bool(v) for v in column]
-        elif name in _FLOAT_COLUMNS:
-            doc[name] = [_opt(v) for v in column]
-        else:
-            doc[name] = [int(v) for v in column]
-    return doc
-
-
-def _rows_from_json(doc: Optional[dict], num_words: int) -> Optional[dict]:
-    if doc is None or not doc["peer_id"]:
-        return None
-    from repro.checkpoint.schema import _nan_column
-
-    rows: dict = {}
-    for name in MIGRATION_COLUMNS:
-        column = doc[name]
-        if name in _WORD_COLUMNS:
-            rows[name] = np.array(
-                [[int(w) for w in row] for row in column], dtype=np.uint64
-            ).reshape(len(column), num_words)
-        elif name in _BOOL_COLUMNS:
-            rows[name] = np.asarray(column, dtype=bool)
-        elif name in _FLOAT_COLUMNS:
-            rows[name] = _nan_column(column)
-        else:
-            rows[name] = np.asarray(column, dtype=np.int64)
-    return rows
-
-
-def _rows_from_store_block(st: dict, num_words: int) -> Optional[dict]:
-    """Alive-peer rows of a snapshot ``store`` block, migration-shaped."""
-    if not st["slots"]:
-        return None
-    doc = {name: st[name] for name in MIGRATION_COLUMNS}
-    return _rows_from_json(doc, num_words)
+    return store_columns(block, words)
 
 
 def _select_rows(rows: dict, mask: np.ndarray) -> Optional[dict]:
     if not mask.any():
         return None
-    return {name: rows[name][mask] for name in MIGRATION_COLUMNS}
+    return {name: rows[name][mask] for name in STORE_COLUMNS}
 
 
 # ----------------------------------------------------------------------
@@ -285,19 +228,9 @@ class ShardEngine(SoaSwarm):
         store = self.store
         slots = store.allocate(count)
         self._alive_dirty = True
-        store.peer_id[slots] = ids
+        for name in STORE_COLUMNS:
+            getattr(store, name)[slots] = rows[name]
         self._id_to_slot.update(zip(ids.tolist(), slots.tolist()))
-        store.is_seed[slots] = rows["is_seed"]
-        store.shaken[slots] = rows["shaken"]
-        store.counts[slots] = rows["counts"]
-        store.bits[slots] = rows["bits"]
-        store.joined_at[slots] = rows["joined_at"]
-        store.seed_until[slots] = rows["seed_until"]
-        store.first_piece_at[slots] = rows["first_piece_at"]
-        store.prelast_at[slots] = rows["prelast_at"]
-        store.shaken_at[slots] = rows["shaken_at"]
-        store.upload_capacity[slots] = rows["upload_capacity"]
-        store.seeded[slots] = rows["seeded"]
         self.piece_counts += unpack_rows(
             store.bits[slots], self.config.num_pieces
         ).sum(axis=0)
@@ -316,7 +249,7 @@ class ShardEngine(SoaSwarm):
         store = self.store
         rows = {
             name: getattr(store, name)[pick].copy()
-            for name in MIGRATION_COLUMNS
+            for name in STORE_COLUMNS
         }
         self._remove_peers(pick)
         return rows
@@ -347,19 +280,24 @@ class ShardEngine(SoaSwarm):
     def state_summary(self) -> dict:
         """Report-shaped summary of current state (no round advanced)."""
         stats = self.connection_stats
-        return {
-            "time": None,
-            "n_leech": self._n_leech,
-            "n_seeds": self._n_seeds,
-            "piece_counts": self.piece_counts.copy(),
-            "conn_counts": None,
-            "stats": (stats.survived, stats.dropped,
-                      stats.attempts, stats.formed),
-            "seed_uploads": self.seed_upload_count,
-            "completed": [],
-            "aborted": [],
-            "emigrants": None,
-        }
+        return dict(
+            _idle_report(
+                self._n_leech, self._n_seeds, self.piece_counts.copy(),
+                (stats.survived, stats.dropped, stats.attempts, stats.formed),
+                self.seed_upload_count,
+            ),
+            emigrants=None,
+        )
+
+
+def _idle_report(n_leech, n_seeds, piece_counts, stats=(0, 0, 0, 0),
+                 seed_uploads=0) -> dict:
+    """A round-report-shaped shard state with no round behind it."""
+    return {
+        "time": None, "n_leech": n_leech, "n_seeds": n_seeds,
+        "piece_counts": piece_counts, "conn_counts": None, "stats": stats,
+        "seed_uploads": seed_uploads, "completed": [], "aborted": [],
+    }
 
 
 def _new_shard_engine(payload: dict) -> ShardEngine:
@@ -414,8 +352,6 @@ def _shard_worker(conn) -> None:
                     fabric = WorkerFabric(payload["fabric"])
                     conn.send(("ok", engine.state_summary()))
                 elif command == "restore":
-                    from repro.checkpoint.schema import _restore_soa_swarm
-
                     engine = _restore_soa_swarm(
                         payload["document"],
                         swarm_cls=ShardEngine,
@@ -462,8 +398,6 @@ def _shard_worker(conn) -> None:
                         "busy": busy,
                     }))
                 elif command == "snapshot":
-                    from repro.checkpoint.schema import snapshot_soa_swarm
-
                     conn.send(("doc", snapshot_soa_swarm(engine)))
                 elif command == "final":
                     conn.send(("final", {
@@ -1066,8 +1000,6 @@ class ShardedSwarm(Swarm):
 
     def _load_coordinator_block(self, document: dict) -> None:
         """Reset coordinator state from a sharded snapshot document."""
-        from repro.checkpoint.schema import _restore_metrics
-
         coord = document["coordinator"]
         self._generation = int(coord["generation"])
         self._tracker_rng = np.random.default_rng(0)
@@ -1085,22 +1017,15 @@ class ShardedSwarm(Swarm):
         )
         words = words_for(self.config.num_pieces)
         self._pending_rows = [
-            _rows_from_json(rows, words) for rows in coord["pending_rows"]
+            _rows_from_block(rows, words) for rows in coord["pending_rows"]
         ]
         self._shard_state = [
-            {
-                "time": None,
-                "n_leech": int(state["n_leech"]),
-                "n_seeds": int(state["n_seeds"]),
-                "piece_counts": np.asarray(
-                    state["piece_counts"], dtype=np.int64
-                ),
-                "conn_counts": None,
-                "stats": tuple(int(v) for v in state["stats"]),
-                "seed_uploads": int(state["seed_uploads"]),
-                "completed": [],
-                "aborted": [],
-            }
+            _idle_report(
+                int(state["n_leech"]), int(state["n_seeds"]),
+                np.array(state["piece_counts"], dtype=np.int64),
+                tuple(int(v) for v in state["stats"]),
+                int(state["seed_uploads"]),
+            )
             for state in coord["shard_state"]
         ]
         self._carried = {
@@ -1118,13 +1043,6 @@ class ShardedSwarm(Swarm):
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """Coordinated snapshot: coordinator block + one doc per shard."""
-        from repro.checkpoint.schema import (
-            SCHEMA_VERSION,
-            _sanitize_rng_state,
-            _snapshot_metrics,
-            _triples,
-        )
-
         self._ensure_started()
         if not self._conns:
             raise SimulationError(
@@ -1156,15 +1074,17 @@ class ShardedSwarm(Swarm):
                 "global_next_id": self._global_next_id,
                 "next_arrival": self._next_arrival,
                 "pending_rows": [
-                    _rows_to_json(rows) for rows in self._pending_rows
+                    None if rows is None
+                    else {name: rows[name].copy() for name in rows}
+                    for rows in self._pending_rows
                 ],
                 "shard_state": [
                     {
                         "n_leech": state["n_leech"],
                         "n_seeds": state["n_seeds"],
-                        "piece_counts": [
-                            int(c) for c in state["piece_counts"]
-                        ],
+                        "piece_counts": state["piece_counts"].astype(
+                            np.int64
+                        ),
                         "stats": [int(v) for v in state["stats"]],
                         "seed_uploads": int(state["seed_uploads"]),
                     }
@@ -1175,15 +1095,13 @@ class ShardedSwarm(Swarm):
                     None if self._carried_faults is None
                     else self._carried_faults.to_dict()
                 ),
-                "metrics": _snapshot_metrics(self.metrics),
+                "metrics": _snapshot_metrics(self.metrics, columns=True),
             },
             "shard_docs": shard_docs,
         }
 
     def write_checkpoint(self, path: Optional[str] = None) -> None:
         """Write a coordinated snapshot (atomic container overwrite)."""
-        from repro.checkpoint.format import write_checkpoint
-
         target = path or self.checkpoint_path
         if target is None:
             raise ParameterError(
@@ -1356,8 +1274,6 @@ def restore_sharded_swarm(
     without ``shards`` (or with ``shards=1``) it resumes as the
     :class:`SoaSwarm` it is, and ``shards >= 2`` re-shards it.
     """
-    from repro.checkpoint.schema import _restore_soa_swarm
-
     if "solo" in document:
         # Legacy ``shards=1`` file: an ordinary soa document, wrapped.
         document = document["solo"]
@@ -1419,7 +1335,7 @@ def _sharded_document_from_soa(document: dict) -> dict:
             "shard_state": [{
                 "n_leech": int(sw["n_leech"]),
                 "n_seeds": int(sw["n_seeds"]),
-                "piece_counts": list(sw["piece_counts"]),
+                "piece_counts": sw["piece_counts"],
                 "stats": [
                     stats["survived"], stats["dropped"],
                     stats["attempts"], stats["formed"],
@@ -1458,11 +1374,10 @@ def _repartition(
     # fresh workers restart their counters from zero.
     carried = swarm._carried
     for state in swarm._shard_state:
-        survived, dropped, attempts, formed = state["stats"]
-        carried["survived"] += survived
-        carried["dropped"] += dropped
-        carried["attempts"] += attempts
-        carried["formed"] += formed
+        for key, value in zip(
+            ("survived", "dropped", "attempts", "formed"), state["stats"]
+        ):
+            carried[key] += value
         carried["seed_uploads"] += state["seed_uploads"]
     for shard_doc in document["shard_docs"]:
         carried["events"] += int(shard_doc["engine"]["processed"])
@@ -1477,41 +1392,29 @@ def _repartition(
     # Gather every alive peer (plus in-flight migrants) and rehash.
     words = words_for(config.num_pieces)
     parts = [
-        _rows_from_store_block(shard_doc["store"], words)
+        _rows_from_block(shard_doc["store"], words)
         for shard_doc in document["shard_docs"]
     ]
     merged = _concat_rows(parts + swarm._pending_rows)
     adopt: List[Optional[dict]] = [None] * target
     shard_state: List[dict] = []
     for index in range(target):
-        if merged is not None:
-            part = _select_rows(
-                merged, (merged["peer_id"] % target) == index
-            )
-        else:
-            part = None
+        part = None if merged is None else _select_rows(
+            merged, (merged["peer_id"] % target) == index
+        )
         adopt[index] = part
         if part is None:
-            n_seeds = 0
-            n_leech = 0
-            counts = np.zeros(config.num_pieces, dtype=np.int64)
-        else:
-            n_seeds = int(part["is_seed"].sum())
-            n_leech = int(part["peer_id"].size) - n_seeds
-            counts = unpack_rows(
-                np.ascontiguousarray(part["bits"]), config.num_pieces
-            ).sum(axis=0).astype(np.int64)
-        shard_state.append({
-            "time": None,
-            "n_leech": n_leech,
-            "n_seeds": n_seeds,
-            "piece_counts": counts,
-            "conn_counts": None,
-            "stats": (0, 0, 0, 0),
-            "seed_uploads": 0,
-            "completed": [],
-            "aborted": [],
-        })
+            shard_state.append(_idle_report(
+                0, 0, np.zeros(config.num_pieces, dtype=np.int64)
+            ))
+            continue
+        n_seeds = int(part["is_seed"].sum())
+        counts = unpack_rows(
+            np.ascontiguousarray(part["bits"]), config.num_pieces
+        ).sum(axis=0).astype(np.int64)
+        shard_state.append(
+            _idle_report(int(part["peer_id"].size) - n_seeds, n_seeds, counts)
+        )
     swarm._pending_rows = [None] * target
     swarm._shard_state = shard_state
     swarm._adopt_rows = adopt

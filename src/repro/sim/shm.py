@@ -48,6 +48,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.checkpoint.schema import STORE_COLUMNS, WORD_COLUMNS
 from repro.errors import SimulationError
 
 __all__ = ["ShardFabric", "WorkerFabric", "migration_row_bytes"]
@@ -57,31 +58,12 @@ __all__ = ["ShardFabric", "WorkerFabric", "migration_row_bytes"]
 SEGMENT_PREFIX = "rbt-"
 
 
-def _migration_spec(words: int) -> Tuple[Tuple[str, type, int], ...]:
-    """Ordered (name, dtype, width) column layout of a migration plane.
-
-    Eight-byte columns first so every numeric column lands 8-aligned;
-    the two one-byte bool columns close the plane.  The names mirror
-    ``repro.sim.sharded.MIGRATION_COLUMNS`` exactly.
-    """
-    return (
-        ("peer_id", np.int64, 1),
-        ("counts", np.int64, 1),
-        ("upload_capacity", np.int64, 1),
-        ("bits", np.uint64, words),
-        ("seeded", np.uint64, words),
-        ("joined_at", np.float64, 1),
-        ("seed_until", np.float64, 1),
-        ("first_piece_at", np.float64, 1),
-        ("prelast_at", np.float64, 1),
-        ("shaken_at", np.float64, 1),
-        ("is_seed", np.bool_, 1),
-        ("shaken", np.bool_, 1),
-    )
-
-
-#: Columns stored two-dimensional, ``(rows, words)``, even at one word.
-_WORD_COLUMN_NAMES = ("bits", "seeded")
+#: Ordered (name, dtype) column layout of a migration plane: the
+#: checkpoint store block's columns, eight-byte columns first so every
+#: numeric column lands 8-aligned; the one-byte bool columns close it.
+_MIGRATION_SPEC = tuple(sorted(
+    STORE_COLUMNS.items(), key=lambda item: -np.dtype(item[1]).itemsize
+))
 
 
 def migration_row_bytes(words: int) -> int:
@@ -294,17 +276,14 @@ class _MigrationBlock:
             )
             offset = base + 16
             cols: Dict[str, np.ndarray] = {}
-            for name, dtype, width in _migration_spec(words):
+            for name, dtype in _MIGRATION_SPEC:
                 # The bitfield columns are (rows, words) even at one
                 # word; every other column is flat.
-                shape = (
-                    (rows, width) if name in _WORD_COLUMN_NAMES
-                    else (rows,)
-                )
+                shape = (rows, words) if name in WORD_COLUMNS else (rows,)
                 cols[name] = np.ndarray(
                     shape, dtype=dtype, buffer=buf, offset=offset
                 )
-                offset += rows * width * np.dtype(dtype).itemsize
+                offset += cols[name].nbytes
             self.columns.append(cols)
 
     @staticmethod

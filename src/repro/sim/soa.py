@@ -1653,33 +1653,6 @@ class SoaSwarm(Swarm):
         return landed.size
 
     # -- bookkeeping -------------------------------------------------------
-    def _record_completion(self, slot: int, time: float) -> None:
-        store = self.store
-        stats = PeerStats(joined_at=float(store.joined_at[slot]))
-        stats.completed_at = time
-        # Compressed acquisition timeline: the phase boundaries the
-        # paper's analyses read (first piece = bootstrap exit, B-1
-        # pieces = last-phase entry, completion).
-        timeline = []
-        for mark in (store.first_piece_at[slot], store.prelast_at[slot]):
-            if not math.isnan(mark):
-                timeline.append(float(mark))
-        timeline.append(time)
-        stats.piece_times = timeline
-        if not math.isnan(store.shaken_at[slot]):
-            stats.shaken_at = float(store.shaken_at[slot])
-        capacity = int(store.upload_capacity[slot])
-        self.metrics.completed.append(
-            CompletedDownload(
-                peer_id=int(store.peer_id[slot]),
-                joined_at=float(store.joined_at[slot]),
-                completed_at=time,
-                stats=stats,
-                shaken=bool(store.shaken[slot]),
-                upload_capacity=capacity if capacity >= 0 else None,
-            )
-        )
-
     def _handle_completions(self, time: float) -> None:
         config = self.config
         store = self.store
@@ -1690,8 +1663,33 @@ class SoaSwarm(Swarm):
         )
         if done.size == 0:
             return
-        for slot in done:
-            self._record_completion(int(slot), time)
+        # One gather per column, then one pass building the records.
+        # The compressed acquisition timeline keeps the phase
+        # boundaries the paper's analyses read (first piece = bootstrap
+        # exit, B-1 pieces = last-phase entry, completion).
+        self.metrics.completed.extend(
+            CompletedDownload(
+                peer_id, joined_at, time,
+                PeerStats(
+                    joined_at, time,
+                    [mark for mark in (first, prelast)
+                     if not math.isnan(mark)] + [time],
+                    [], [], [],
+                    None if math.isnan(shaken_at) else shaken_at,
+                ),
+                shaken, capacity if capacity >= 0 else None,
+            )
+            for peer_id, joined_at, first, prelast, shaken_at, shaken,
+            capacity in zip(
+                store.peer_id[done].tolist(),
+                store.joined_at[done].tolist(),
+                store.first_piece_at[done].tolist(),
+                store.prelast_at[done].tolist(),
+                store.shaken_at[done].tolist(),
+                store.shaken[done].tolist(),
+                store.upload_capacity[done].tolist(),
+            )
+        )
         if config.completed_become_seeds > 0:
             store.is_seed[done] = True
             store.seed_until[done] = time + config.completed_become_seeds

@@ -27,7 +27,12 @@ from repro.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from repro.checkpoint.format import CHECKPOINT_MAGIC, _HEADER, dumps_payload
+from repro.checkpoint.format import (
+    CHECKPOINT_MAGIC,
+    CONTAINER_VERSION,
+    _HEADER,
+    dumps_payload,
+)
 from repro.errors import CheckpointError
 from repro.sim.swarm import Swarm
 
@@ -147,11 +152,11 @@ def test_alien_magic_rejected(golden, tmp_path):
 
 def test_future_container_version_rejected(golden, tmp_path):
     def bump(raw):
-        magic, version, length, crc = _HEADER.unpack_from(raw)
-        _HEADER.pack_into(raw, 0, magic, version + 1, length, crc)
+        magic, _version, length, crc = _HEADER.unpack_from(raw)
+        _HEADER.pack_into(raw, 0, magic, CONTAINER_VERSION + 1, length, crc)
         return raw
 
-    with pytest.raises(CheckpointError, match="version"):
+    with pytest.raises(CheckpointError, match="container version"):
         read_checkpoint(_mutated(tmp_path, bump))
 
 

@@ -154,7 +154,7 @@ def test_single_shard_checkpoint_reshards_onto_two(tmp_path):
         assert swarm.step_round()
     document = read_checkpoint(path)
     ids_at_checkpoint = document["store"]["peer_id"]
-    assert ids_at_checkpoint
+    assert len(ids_at_checkpoint)
 
     resharded = restore_sharded_swarm(document, shards=2)
     try:

@@ -14,6 +14,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ckpt_helpers import replay_fault_plan
@@ -29,7 +30,7 @@ def soa_replay_config(seed: int = 11, max_time: float = 30.0) -> SimConfig:
     """A small soa-compatible swarm touching every checkpointed field.
 
     ``num_pieces=70`` spans two bitfield words and sets bit 63 of the
-    first, so the uint64 → JSON int → uint64 round-trip is exercised on
+    first, so the uint64 round-trip through the container is exercised on
     values above ``2**63``.
     """
     return SimConfig(
@@ -77,7 +78,7 @@ def test_soa_resume_is_fingerprint_identical(boundary):
 
 
 def test_soa_snapshot_survives_the_container(tmp_path):
-    """NaN-able columns and uint64 bit words must pass canonical JSON."""
+    """NaN-able columns and uint64 bit words must pass the container."""
     config = soa_replay_config(seed=23)
     document = soa_snapshot_at_round(config, 8)
     path = tmp_path / "soa.ckpt"
@@ -115,6 +116,43 @@ def test_soa_swarm_resume_classmethod_dispatches():
     assert swarm.run().fingerprint() == run_swarm(
         config, backend="soa"
     ).fingerprint()
+
+
+def test_seed_relation_counters_survive_the_container(tmp_path):
+    """A seed's neighbor degree is a counter that may exceed the row
+    width; the round-trip must keep it, not clamp it to the width."""
+    config = SimConfig(
+        num_pieces=20,
+        max_conns=3,
+        ns_size=4,
+        ns_accept_factor=1.0,
+        arrival_process="poisson",
+        arrival_rate=5.0,
+        initial_leechers=120,
+        initial_distribution="uniform",
+        initial_fill=0.5,
+        num_seeds=4,
+        seed_upload_slots=2,
+        max_time=10.0,
+        seed=5,
+    )
+    swarm = Swarm(config, backend="soa")
+    swarm.setup()
+    for _ in range(3):
+        assert swarm.step_round()
+    store = swarm.store
+    seeds = store.alive & store.is_seed
+    assert (store.nbr_deg[seeds] > store.nbr_width).any()
+
+    path = tmp_path / "seeds.ckpt"
+    write_checkpoint(swarm.snapshot(), path)
+    restored = restore_swarm(read_checkpoint(path)).store
+    alive = np.flatnonzero(store.alive)
+    np.testing.assert_array_equal(restored.alive, store.alive)
+    np.testing.assert_array_equal(
+        restored.nbr_deg[alive], store.nbr_deg[alive]
+    )
+    np.testing.assert_array_equal(restored.nbr[alive], store.nbr[alive])
 
 
 def test_soa_snapshot_rejects_wrong_schema_version():
